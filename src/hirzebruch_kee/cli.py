@@ -37,6 +37,7 @@ EINSTEIN_THRESHOLD = 1e-5
 PROPORTIONALITY_THRESHOLD = 1e-12
 VOLUME_MATCH_THRESHOLD = 1e-9
 ANGLE_THRESHOLD = 1e-3          # fraction of the 2 pi beta target
+MIN_QUAD_TOL = 50.0 * sys.float_info.epsilon   # scipy's floor for a relative target
 
 
 @dataclass
@@ -98,7 +99,6 @@ def _build_parser() -> _Parser:
                         help="G: Einstein residual sweeps a GxGx3 chart grid")
     verify.add_argument("--fd-step", type=float, default=1e-3)
     verify.add_argument("--s-hull", type=float, default=40.0)
-    verify.add_argument("--quad-tol", type=float, default=1e-10)
     _add_output_flags(verify)
 
     fiber = sub.add_parser("fiber", help="fiber lengths, cone angle probes, volumes")
@@ -138,6 +138,17 @@ def _resolve_output(ns) -> tuple[str, str | None]:
     return fmt or "json", path
 
 
+def _check_flag(flag: str, value: float, lo: float, hi: float = math.inf,
+                lo_closed: bool = False) -> float:
+    """A finite flag value inside (lo, hi), or [lo, hi) when lo_closed."""
+    value = float(value)
+    above = value >= lo if lo_closed else value > lo
+    if not (math.isfinite(value) and above and value < hi):
+        span = f"{'[' if lo_closed else '('}{lo:g}, {hi:g})"
+        raise UsageError(f"{flag} must be a finite value in {span}, got {value}")
+    return value
+
+
 def _check_beta1(n: int, beta1: float) -> float:
     try:
         _validate_n_beta1(n, beta1)
@@ -173,18 +184,17 @@ def parse(argv) -> RunConfig:
         cfg.beta1 = _check_beta1(ns.n, ns.beta1)
         if ns.grid < 1:
             raise UsageError(f"grid must be >= 1, got {ns.grid}")
-        if ns.fd_step <= 0 or ns.quad_tol <= 0 or ns.s_hull < 1:
-            raise UsageError("fd-step and quad-tol must be positive, s-hull >= 1")
-        cfg.grid, cfg.fd_step = ns.grid, ns.fd_step
-        cfg.s_hull, cfg.quad_tol = ns.s_hull, ns.quad_tol
+        cfg.grid = ns.grid
+        cfg.fd_step = _check_flag("--fd-step", ns.fd_step, 0.0, 1.0)
+        cfg.s_hull = _check_flag("--s-hull", ns.s_hull, 1.0, lo_closed=True)
     elif ns.command == "fiber":
         cfg.beta1 = _check_beta1(ns.n, ns.beta1)
-        if ns.probe_distance <= 0 or ns.quad_tol <= 0:
-            raise UsageError("probe-distance and quad-tol must be positive")
-        cfg.probe_distance, cfg.quad_tol = ns.probe_distance, ns.quad_tol
+        # the upper end depends on the profile; cone_angle_probe reports it
+        cfg.probe_distance = _check_flag("--probe-distance", ns.probe_distance, 0.0)
+        cfg.quad_tol = _check_flag("--quad-tol", ns.quad_tol, MIN_QUAD_TOL, 1.0, lo_closed=True)
     elif ns.command == "classes":
         cfg.beta1 = _check_beta1(ns.n, ns.beta1)
-        cfg.quad_tol = ns.quad_tol
+        cfg.quad_tol = _check_flag("--quad-tol", ns.quad_tol, MIN_QUAD_TOL, 1.0, lo_closed=True)
     elif ns.command == "limit":
         try:
             seq = tuple(float(tok) for tok in ns.beta1_seq.split(",") if tok.strip())
@@ -197,7 +207,7 @@ def parse(argv) -> RunConfig:
         if any(b2 >= b1 for b1, b2 in zip(seq, seq[1:])):
             raise UsageError(f"--beta1-seq must decrease strictly, got {list(seq)}")
         cfg.beta1_list = seq
-        cfg.s_hull = ns.s_hull
+        cfg.s_hull = _check_flag("--s-hull", ns.s_hull, 1.0, lo_closed=True)
     return cfg
 
 
@@ -270,14 +280,13 @@ def _run_scan(cfg: RunConfig):
 
 def _run_verify(cfg: RunConfig):
     p = make_profile(cfg.n, cfg.beta1)
-    quad = _quad_config(cfg.quad_tol)
-    m = build_map(p, quad=quad, s_hull=cfg.s_hull)
+    m = build_map(p, s_hull=cfg.s_hull)
 
     taus = np.linspace(1.0, p.alpha2, 1002)[1:-1]
-    ode_max = max(abs(ode_residual(p, float(t))) for t in taus)
+    ode_max = float(np.max([abs(ode_residual(p, float(t))) for t in taus]))
 
     grid = geometry.chart_grid(p, n_abs=cfg.grid, n_arg=cfg.grid, n_s=3)
-    det_max = 0.0
+    defects = []
     for pt in grid:
         g = geometry.metric_at(p, m, pt)
         s = geometry.chart_s(p.n, pt)
@@ -285,7 +294,8 @@ def _run_verify(cfg: RunConfig):
         phi = eval_phi(p, tau)
         target = p.n * tau * phi
         scale = abs(pt.w) ** 2 * (1.0 + abs(pt.z) ** 2) ** 2
-        det_max = max(det_max, abs(g.det() * scale - target) / target)
+        defects.append(abs(g.det() * scale - target) / target)
+    det_max = float(np.max(defects))     # np.max keeps a NaN; max() drops it
 
     einstein_max = geometry.einstein_residual(p, m, grid, step=cfg.fd_step)
 
@@ -293,7 +303,7 @@ def _run_verify(cfg: RunConfig):
           and einstein_max <= EINSTEIN_THRESHOLD)
     row = {
         "command": cfg.command, "n": p.n, "beta1": p.beta1, "grid": cfg.grid,
-        "fd_step": cfg.fd_step, "s_hull": cfg.s_hull, "quad_tol": cfg.quad_tol,
+        "fd_step": cfg.fd_step, "s_hull": cfg.s_hull,
         "beta2": p.beta2, "lambda": p.lam,
         "ode_residual_max": ode_max, "ode_threshold": ODE_THRESHOLD,
         "det_defect_max": det_max, "det_threshold": DET_THRESHOLD,
@@ -420,7 +430,8 @@ def _json_scalar(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        return _fmt17(v)
+        # NaN and Infinity as Python's json module writes and reads them
+        return _fmt17(v) if math.isfinite(v) else json.dumps(v)
     return json.dumps(str(v))
 
 

@@ -83,9 +83,10 @@ class HermitianForm2:
         return HermitianForm2(k * self.g_ww, k * self.g_wz, k * self.g_zz)
 
     def max_abs_diff(self, other: "HermitianForm2") -> float:
-        return max(abs(self.g_ww - other.g_ww),
-                   abs(self.g_wz - other.g_wz),
-                   abs(self.g_zz - other.g_zz))
+        # np.max keeps a NaN entry, which max() would drop
+        return float(np.max([abs(self.g_ww - other.g_ww),
+                             abs(self.g_wz - other.g_wz),
+                             abs(self.g_zz - other.g_zz)]))
 
 
 @dataclass(frozen=True)
@@ -178,8 +179,8 @@ def ricci_fd(p: EinsteinProfile, m: TauSMap, pt: ChartPoint,
     cancelling the O(h^2) truncation, then maps the Hessian in W = log w
     back to the w coordinate (d/dw = (1/w) d/dW).
     """
-    if step <= 0.0:
-        raise DomainError(f"step must be positive, got {step}")
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"step must be positive and finite, got {step}")
     a = _complex_hessian(p, m, pt, step)
     b = _complex_hessian(p, m, pt, 0.5 * step)
     l_ww, l_wz, l_zz = ((4.0 * bb - aa) / 3.0 for aa, bb in zip(a, b))
@@ -211,16 +212,20 @@ def chart_grid(p: EinsteinProfile, n_abs: int = 5, n_arg: int = 5, n_s: int = 3,
 
 def einstein_residual(p: EinsteinProfile, m: TauSMap, grid: list[ChartPoint],
                       step: float = 1e-3) -> float:
-    """max over the grid of || ricci_fd - lam * g ||_max (entrywise)."""
-    worst = 0.0
+    """max over the grid of || ricci_fd - lam * g ||_max (entrywise).
+
+    A NaN residual anywhere makes the result NaN, so it can never pass a
+    threshold comparison.
+    """
+    residuals = [0.0]
     for pt in grid:
         try:
             g = metric_at(p, m, pt)
             ric = ricci_fd(p, m, pt, step=step)
         except RangeError as exc:
             raise RangeError(f"grid point z={pt.z}, w={pt.w} left the hull: {exc}") from exc
-        worst = max(worst, ric.max_abs_diff(g.scaled(p.lam)))
-    return worst
+        residuals.append(ric.max_abs_diff(g.scaled(p.lam)))
+    return float(np.max(residuals))
 
 
 def _lower_piece(p: EinsteinProfile, a: float, b: float,

@@ -1,32 +1,49 @@
 """Correspondence between the momentum variable tau and the log-norm
 coordinate s of the fiber.
 
-On a profile p the two coordinates are linked by ds = dtau/phi(tau), so s
-diverges logarithmically at each root of phi (simple poles of 1/phi), with
-asymptotic slopes d(log phi)/ds -> beta1 at the lower end and -> -beta2 at
-the upper end.  The map is tabulated on a knot ladder graded geometrically
-toward both roots: in the stretched coordinate
+On a profile p the two coordinates are linked by ds = dtau/phi(tau), and phi
+is a cubic over tau with known roots,
 
-    q = log(tau - 1) - log(alpha2 - tau)
+    phi(tau) = cbar * (tau - 1) * (tau - alpha1) * (alpha2 - tau) / tau,   cbar = -leading,
 
-a uniform step is a fixed ratio in the distance to the nearer root, and the
+so partial fractions integrate 1/phi in closed form:
+
+    s = A log(tau - 1) - B log(alpha2 - tau) + C log(tau - alpha1) + const,
+
+    A = 1 / (cbar (alpha2 - 1) (1 - alpha1))              (= 1/beta1),
+    B = alpha2 / (cbar (alpha2 - 1) (alpha2 - alpha1))    (= 1/beta2),
+    C = -alpha1 / (cbar (1 - alpha1) (alpha2 - alpha1)),
+
+with A - B + C = 0 because 1/phi decays like 1/tau^2.  s diverges
+logarithmically at both roots, with asymptotic slopes d(log phi)/ds -> beta1
+at the lower end and -> -beta2 at the upper end.
+
+The formula is evaluated in the stretched coordinate
+
+    q = log(tau - 1) - log(alpha2 - tau),   tau = 1 + (alpha2 - 1) sigma(q),
+
+with sigma the logistic function.  Since log sigma(q) = -softplus(-q) and
+softplus(q) - softplus(-q) = q, it reads
+
+    s = A q + C (log(tau - alpha1) + softplus(q)) + const.
+
+No two large terms cancel (A grows like 1/beta1 while C stays of order one),
+and q sidesteps a representability wall: at beta1 near 1 the hull |s| >= 40
+requires tau - 1 ~ exp(-40), far below the spacing of doubles around 1,
+while q there is perfectly representable; only the cosmetic tau saturates.
+
+The coefficients come from the stored roots and leading coefficient, never
+from the beta fields, so a profile with tampered roots stays inconsistent
+and the finite-difference Einstein check still sees it.
+
+tau_of_s inverts the formula by safeguarded Newton in q with the analytic
 density
 
-    ds/dq = tau / ((alpha2 - 1) * cbar * (tau - alpha1)),   cbar = -leading,
+    ds/dq = tau / ((alpha2 - 1) * cbar * (tau - alpha1)),
 
-extends analytically to the closed interval (the root factors cancel), so a
-short fixed Gauss-Legendre rule per cell is exact to machine precision.  The
-monotone piecewise-cubic interpolant over the knots only seeds queries; both
-directions are then polished by safeguarded Newton against the cell
-quadrature, keeping s_of_tau and tau_of_s mutually inverse to ~1e-12 and the
-identity d tau/ds = phi(tau) true to quadrature accuracy.  The downstream
-finite-difference Ricci check needs that much: interpolation error alone,
-pushed through a second difference, would swamp its 1e-5 budget.
-
-Working in q also sidesteps a representability wall: at beta1 near 1 the
-hull |s| >= 40 requires tau - 1 ~ exp(-40), which is far below the spacing
-of doubles around 1.  Knots near that end are stored in q, where the tail is
-perfectly representable; only the cosmetic (tau, s) view saturates.
+which rises monotonically from A at the lower root to B at the upper one
+(alpha1 < 0, i.e. C > 0).  So |s| >= min(A, B) |q - q0| brackets every
+solve, and the slopes A and B give the start on either side of the gauge.
 """
 
 from __future__ import annotations
@@ -34,17 +51,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.interpolate import PchipInterpolator
-
-from .errors import DomainError, QuadratureError, RangeError
+from .errors import DomainError, RangeError
 from .profile import EinsteinProfile
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, gauss_cell
 
-_LN2 = math.log(2.0)
-_TARGET_DS = 0.25          # aimed-for s-advance per knot cell
-_HULL_MARGIN = 2.0         # build past the requested hull by this much
-_MAX_KNOTS = 200_000
+_HULL_MARGIN = 2.0         # the covered hull reaches this far past s_hull
 
 
 @dataclass(frozen=True)
@@ -60,52 +70,38 @@ class GaugeChoice:
 
 @dataclass(frozen=True, eq=False)
 class TauSMap:
-    """Tabulated, quadrature-backed bijection between tau and s."""
+    """Closed-form bijection between tau and s on |s| <= s_hull + 2.
+
+    a, b, c are the partial-fraction coefficients A, B, C; q0 is the gauge
+    point in the stretched coordinate and c0 the term C multiplies there.
+    """
 
     profile: EinsteinProfile
     tau0: float
     s_hull: float
-    quad: QuadratureConfig
-    q_knots: np.ndarray
-    s_knots: np.ndarray
-    _seed_s_of_q: PchipInterpolator
-    _seed_q_of_s: PchipInterpolator
+    q0: float
+    a: float
+    b: float
+    c: float
+    c0: float
 
     @property
     def s_min(self) -> float:
-        return float(self.s_knots[0])
+        return -self.s_max
 
     @property
     def s_max(self) -> float:
-        return float(self.s_knots[-1])
-
-    @property
-    def knots(self) -> list[tuple[float, float]]:
-        """Knots as (tau, s) pairs, strictly increasing in tau.
-
-        Near tau = 1 the deep tail of the ladder is denser than the spacing
-        of floating-point numbers; pairs that would repeat a tau value are
-        dropped from this view (the internal q-ladder keeps them).
-        """
-        taus = _tau_from_q(self.profile, self.q_knots)
-        keep = np.empty(taus.shape, dtype=bool)
-        keep[0] = True
-        keep[1:] = np.diff(taus) > 0.0
-        return list(zip(taus[keep].tolist(), self.s_knots[keep].tolist()))
+        return self.s_hull + _HULL_MARGIN
 
 
-def _sigma(q):
-    """Stable logistic 1/(1 + exp(-q)), scalar or ndarray."""
-    q = np.asarray(q, dtype=float)
-    t = np.exp(-np.abs(q))
-    out = np.where(q >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return out if out.ndim else float(out)
+def _sigma(q: float) -> float:
+    """Stable logistic 1/(1 + exp(-q))."""
+    t = math.exp(-abs(q))
+    return 1.0 / (1.0 + t) if q >= 0.0 else t / (1.0 + t)
 
 
-def _tau_from_q(p: EinsteinProfile, q):
-    span = p.alpha2 - 1.0
-    out = 1.0 + span * _sigma(q)
-    return out if isinstance(out, np.ndarray) else float(out)
+def _tau_from_q(p: EinsteinProfile, q: float) -> float:
+    return 1.0 + (p.alpha2 - 1.0) * _sigma(q)
 
 
 def _q_from_tau(p: EinsteinProfile, tau: float) -> float:
@@ -117,7 +113,7 @@ def _q_from_tau(p: EinsteinProfile, tau: float) -> float:
     return math.log(xi) - math.log(rho)
 
 
-def _dsdq(p: EinsteinProfile, q):
+def _dsdq(p: EinsteinProfile, q: float) -> float:
     """Analytic density ds/dq; the root factors of phi cancel exactly."""
     span = p.alpha2 - 1.0
     sig = _sigma(q)
@@ -127,21 +123,15 @@ def _dsdq(p: EinsteinProfile, q):
     return tau / (span * cbar * d2)
 
 
-def _cell(p: EinsteinProfile, qa: float, qb: float, order: int = 32) -> float:
-    return gauss_cell(lambda q: _dsdq(p, q), qa, qb, order=order)
+def _c_term(p: EinsteinProfile, q: float) -> float:
+    """log(tau - alpha1) + softplus(q), the bracket C multiplies."""
+    d2 = (1.0 - p.alpha1) + (p.alpha2 - 1.0) * _sigma(q)
+    return math.log(d2) + max(q, 0.0) + math.log1p(math.exp(-abs(q)))
 
 
 def build_map(p: EinsteinProfile, gauge: GaugeChoice | None = None,
-              quad: QuadratureConfig | None = None, s_hull: float = 40.0) -> TauSMap:
-    """Tabulate s(tau) until |s| exceeds s_hull on both sides of the gauge.
-
-    The march steps in q, capped at ln 2 (distance to the nearer root at
-    most halves per knot) and shrunk wherever ds/dq is large so each cell
-    advances s by about 0.25.  Every cell is integrated at order 32 and
-    cross-checked at order 16; a disagreement beyond the configured
-    tolerance raises QuadratureError.
-    """
-    quad = quad or DEFAULT_QUAD
+              s_hull: float = 40.0) -> TauSMap:
+    """The tau <-> s map gauged to s(tau0) = 0, covering |s| <= s_hull + 2."""
     gauge = gauge or GaugeChoice()
     if not (s_hull >= 1.0 and math.isfinite(s_hull)):
         raise DomainError(f"s_hull must be a finite value >= 1, got {s_hull}")
@@ -149,76 +139,46 @@ def build_map(p: EinsteinProfile, gauge: GaugeChoice | None = None,
     if not 1.0 < tau0 < p.alpha2:
         raise DomainError(f"gauge tau0={tau0} not interior to (1, {p.alpha2})")
     q0 = _q_from_tau(p, tau0)
-    target = s_hull + _HULL_MARGIN
-
-    def march(direction: int) -> tuple[list[float], list[float]]:
-        qs, ss = [], []
-        q, s = q0, 0.0
-        while direction * s < target:
-            dq = min(_LN2, max(1e-6, _TARGET_DS / _dsdq(p, q)))
-            qn = q + direction * dq
-            ds = _cell(p, q, qn)
-            check = _cell(p, q, qn, order=16)
-            budget = 50.0 * max(quad.epsabs, quad.epsrel * (abs(ds) + 1e-3))
-            if abs(ds - check) > budget:
-                raise QuadratureError(
-                    f"knot cell [{q}, {qn}] failed its order-16/32 cross-check: "
-                    f"|{ds} - {check}| > {budget:.3e}")
-            q, s = qn, s + ds
-            qs.append(q)
-            ss.append(s)
-            if len(qs) > _MAX_KNOTS:
-                raise QuadratureError("knot ladder exceeded its size guard")
-        return qs, ss
-
-    q_lo, s_lo = march(-1)
-    q_hi, s_hi = march(+1)
-    q_knots = np.array(q_lo[::-1] + [q0] + q_hi)
-    s_knots = np.array(s_lo[::-1] + [0.0] + s_hi)
-    if not (np.all(np.diff(q_knots) > 0.0) and np.all(np.diff(s_knots) > 0.0)):
-        raise QuadratureError("knot ladder lost strict monotonicity")
-    return TauSMap(profile=p, tau0=float(tau0), s_hull=float(s_hull), quad=quad,
-                   q_knots=q_knots, s_knots=s_knots,
-                   _seed_s_of_q=PchipInterpolator(q_knots, s_knots),
-                   _seed_q_of_s=PchipInterpolator(s_knots, q_knots))
+    cbar = -p.leading
+    span = p.alpha2 - 1.0
+    d1 = 1.0 - p.alpha1
+    d12 = p.alpha2 - p.alpha1
+    return TauSMap(profile=p, tau0=float(tau0), s_hull=float(s_hull), q0=q0,
+                   a=1.0 / (cbar * span * d1), b=p.alpha2 / (cbar * span * d12),
+                   c=-p.alpha1 / (cbar * d1 * d12), c0=_c_term(p, q0))
 
 
 def _s_at_q(m: TauSMap, q: float) -> float:
-    """s at an in-hull q, anchored at the nearest knot below."""
-    i = int(np.clip(np.searchsorted(m.q_knots, q) - 1, 0, len(m.q_knots) - 2))
-    return float(m.s_knots[i]) + _cell(m.profile, float(m.q_knots[i]), q)
+    """The closed form s(q), zero at the gauge point q0."""
+    return m.a * (q - m.q0) + m.c * (_c_term(m.profile, q) - m.c0)
 
 
 def s_of_tau(m: TauSMap, tau: float) -> float:
     """Log-norm coordinate of a momentum value inside the covered hull."""
-    q = _q_from_tau(m.profile, float(tau))
-    if q < m.q_knots[0] or q > m.q_knots[-1]:
+    s = _s_at_q(m, _q_from_tau(m.profile, float(tau)))
+    if not abs(s) <= m.s_max:
         raise RangeError(f"tau={tau} outside the covered hull "
-                         f"(|s| <= {m.s_hull}); rebuild with a larger s_hull")
-    return _s_at_q(m, q)
+                         f"(|s| <= {m.s_max}); rebuild with a larger s_hull")
+    return s
 
 
 def _q_of_s(m: TauSMap, s: float) -> float:
     s = float(s)
-    if not math.isfinite(s) or s < m.s_min or s > m.s_max:
+    if not (math.isfinite(s) and m.s_min <= s <= m.s_max):
         raise RangeError(f"s={s} outside the covered hull [{m.s_min}, {m.s_max}]")
-    j = int(np.clip(np.searchsorted(m.s_knots, s) - 1, 0, len(m.s_knots) - 2))
-    lo, hi = float(m.q_knots[j]), float(m.q_knots[j + 1])
-    s_lo = float(m.s_knots[j])
-    q = float(np.clip(m._seed_q_of_s(s), lo, hi))
-    a, b = lo, hi                      # bracket with F(a) <= 0 <= F(b)
-    ftol = 1e-13 * (1.0 + abs(s))
+    reach = abs(s) / min(m.a, m.b)
+    lo, hi = m.q0 - reach, m.q0 + reach   # bracket with F(lo) <= 0 <= F(hi)
+    q = m.q0 + s / (m.a if s < 0.0 else m.b)
     for _ in range(60):
-        f = s_lo + _cell(m.profile, lo, q) - s
+        f = _s_at_q(m, q) - s
         if f < 0.0:
-            a = q
+            lo = q
         else:
-            b = q
-        step = f / _dsdq(m.profile, q)
-        qn = q - step
-        if not a <= qn <= b:
-            qn = 0.5 * (a + b)
-        if abs(f) <= ftol and abs(qn - q) <= 1e-12 * (1.0 + abs(q)):
+            hi = q
+        qn = q - f / _dsdq(m.profile, q)
+        if not lo <= qn <= hi:
+            qn = 0.5 * (lo + hi)
+        if abs(qn - q) <= 1e-12 * (1.0 + abs(q)):
             return qn                  # final polished Newton update
         q = qn
     return q

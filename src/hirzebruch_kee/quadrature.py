@@ -1,12 +1,9 @@
-"""Quadrature plumbing: tolerance config, a checked adaptive wrapper, and
-fixed Gauss-Legendre rules for smooth cell integrals."""
+"""Quadrature plumbing: tolerance config and a checked adaptive wrapper."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-import numpy as np
 from scipy import integrate
 
 from .errors import QuadratureError
@@ -38,17 +35,3 @@ def quad_checked(fun, a: float, b: float, cfg: QuadratureConfig | None = None) -
             f"integration on [{a}, {b}] missed its tolerance: "
             f"abserr={abserr:.3e} > {budget:.3e}")
     return value
-
-
-@lru_cache(maxsize=8)
-def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
-
-
-def gauss_cell(fun, a: float, b: float, order: int = 32) -> float:
-    """Fixed-order Gauss-Legendre integral of a vectorized smooth integrand."""
-    nodes, weights = gauss_rule(order)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * float(np.dot(weights, fun(mid + half * nodes)))

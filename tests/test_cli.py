@@ -63,6 +63,70 @@ def test_parse_misuse_cases():
             parse(argv)
 
 
+_BAD_FLAGS = [
+    (cmd, flag, value)
+    for cmd in ("fiber", "classes")
+    for flag, value in [("--quad-tol", v) for v in
+                        ("-1", "0", "5e-324", "1", "1e300", "nan", "inf")]
+] + [
+    ("verify", "--fd-step", v) for v in ("nan", "inf", "-inf", "0", "-1e-3", "1")
+] + [
+    (cmd, "--s-hull", v) for cmd in ("verify", "limit") for v in ("nan", "inf", "0.5")
+] + [
+    ("fiber", "--probe-distance", v) for v in ("nan", "inf", "0", "-0.1")
+]
+
+
+def _argv(cmd, *extra):
+    base = (["--beta1-seq", "0.2,0.1"] if cmd == "limit" else ["--beta1", "0.5"])
+    return [cmd, "--n", "1", *base, *extra]
+
+
+@pytest.mark.parametrize("cmd, flag, value", _BAD_FLAGS)
+def test_numeric_flag_rejected(cmd, flag, value, capsys):
+    argv = _argv(cmd, f"{flag}={value}")
+    with pytest.raises(UsageError) as err:
+        parse(argv)
+    assert flag in str(err.value)
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("fiber", "--quad-tol", "1e-8"), ("classes", "--quad-tol", "2e-14"),
+    ("verify", "--fd-step", "2e-3"), ("verify", "--s-hull", "1"),
+    ("limit", "--s-hull", "60"), ("fiber", "--probe-distance", "1e-5"),
+])
+def test_numeric_flag_accepted(cmd, flag, value):
+    cfg = parse(_argv(cmd, flag, value))
+    assert getattr(cfg, flag[2:].replace("-", "_")) == float(value)
+
+
+def test_verify_has_no_quad_tol():
+    # the map is a closed form, so verify has no quadrature tolerance
+    with pytest.raises(UsageError):
+        parse(_argv("verify", "--quad-tol", "1e-10"))
+    rows, _ = run(parse(_argv("verify", "--grid", "1")))
+    assert "quad_tol" not in rows[0]
+
+
+def test_nan_einstein_residual_fails(monkeypatch, capsys):
+    # max(0.0, nan) == 0.0, so a NaN residual must not be dropped by the
+    # maxima; NaN sits in the last entry, where a plain max() loses it
+    from hirzebruch_kee import HermitianForm2, geometry
+
+    def nan_ricci(p, m, pt, step=1e-3):
+        return HermitianForm2(g_ww=0.0, g_wz=0j, g_zz=math.nan)
+
+    monkeypatch.setattr(geometry, "ricci_fd", nan_ricci)
+    rows, status = run(parse(_argv("verify", "--grid", "2")))
+    assert status == 1 and rows[0]["status"] == "fail"
+    assert math.isnan(rows[0]["einstein_residual_max"])
+    assert main(_argv("verify", "--grid", "2")) == 1
+    doc = json.loads(capsys.readouterr().out)     # NaN stays parseable
+    assert math.isnan(doc["rows"][0]["einstein_residual_max"])
+
+
 def test_run_solve_reports_rigid_angle():
     cfg = parse(["solve", "--n", "1", "--beta1", "1.0"])
     rows, status = run(cfg)

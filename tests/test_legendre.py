@@ -1,25 +1,51 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hirzebruch_kee import (DomainError, GaugeChoice, RangeError, build_map,
-                            log_slope_at_end, make_profile, s_of_tau,
+                            eval_phi, log_slope_at_end, make_profile, s_of_tau,
                             tau_of_s, tau_of_y, y_of_tau)
+from hirzebruch_kee.legendre import _q_of_s, _s_at_q
 
 
 def test_build_basic():
     p = make_profile(1, 0.5)
     m = build_map(p)
-    assert m.s_min < -40.0 < 40.0 < m.s_max
-    assert len(m.q_knots) == len(m.s_knots)
-    assert np.all(np.diff(m.s_knots) > 0)
+    assert m.s_min == -42.0 and m.s_max == 42.0     # exactly |s| <= s_hull + 2
+    assert m.s_hull == 40.0 and m.tau0 == 0.5 * (1.0 + p.alpha2)
+    # A = 1/beta1 and B = 1/beta2, read off the roots rather than the angles
+    assert m.a == pytest.approx(1.0 / p.beta1, rel=1e-14)
+    assert m.b == pytest.approx(1.0 / p.beta2, rel=1e-14)
+    assert m.a - m.b + m.c == pytest.approx(0.0, abs=1e-14)
 
 
-def test_knot_count_reasonable():
-    for n, b1 in [(1, 1.0), (1, 0.02), (3, 0.6), (4, 0.49)]:
-        m = build_map(make_profile(n, b1))
-        assert len(m.q_knots) < 10_000
+def _mp_s_increment(p, tau_a, tau_b):
+    # 30-digit integral of 1/phi, with phi built from the stored roots so
+    # the check isolates the map from root-finding rounding
+    with mp.workdps(30):
+        a1, a2, cbar = mp.mpf(p.alpha1), mp.mpf(p.alpha2), -mp.mpf(p.leading)
+
+        def inv_phi(t):
+            return t / (cbar * (t - 1) * (t - a1) * (a2 - t))
+
+        return mp.quad(inv_phi, [mp.mpf(tau_a), mp.mpf(tau_b)])
+
+
+@pytest.mark.parametrize("n, b1", [(1, 1.0), (1, 0.999), (2, 0.5), (3, 0.4),
+                                   (1, 0.0125), (2, 1e-3)])
+def test_closed_form_matches_mpmath_quadrature(n, b1):
+    p = make_profile(n, b1)
+    m = build_map(p, s_hull=1e4)        # small angles put |s| in the thousands
+    span = p.alpha2 - 1.0
+    for u in (1e-4, 0.05, 0.3, 0.7, 0.95, 1.0 - 1e-4):
+        tau = 1.0 + u * span
+        got = s_of_tau(m, tau) - s_of_tau(m, m.tau0)
+        want = _mp_s_increment(p, m.tau0, tau)
+        assert abs(got - want) <= 1e-13 * abs(want), (u, got, want)
 
 
 def test_round_trip_random():
@@ -164,6 +190,48 @@ def test_deep_hull_all_angles():
     assert 1.0 <= t_lo < 1.0 + 1e-12
     assert p.alpha2 - 1e-12 < t_hi <= p.alpha2
     assert abs(log_slope_at_end(m, "lower", -39.0) - p.beta1) < 1e-7
+
+
+@pytest.mark.parametrize("edge", [-1.0, 1.0])
+def test_round_trip_at_hull_edges(edge):
+    # at beta1 near 1 tau saturates at both edges, so the round trip runs in
+    # the stretched coordinate q, where the map is exact at every depth
+    p = make_profile(1, 0.999)
+    m = build_map(p)
+    s = edge * (m.s_hull + 2.0)
+    q = _q_of_s(m, s)
+    assert abs(_s_at_q(m, q) - s) <= 1e-14 * abs(s)
+    assert 1.0 <= tau_of_s(m, s) <= p.alpha2
+    with pytest.raises(RangeError):
+        tau_of_s(m, math.nextafter(s, 2.0 * s))
+
+
+def _valid_beta1(n, u):
+    # u in (0, 1] scales the admissible range: (0, 1] for n = 1, else (0, 2/n)
+    return u if n == 1 else u * (2.0 / n) * (1.0 - 1e-12)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(1, 5), u=st.floats(1e-6, 1.0),
+       fractions=st.lists(st.floats(1e-3, 1.0 - 1e-3), min_size=2, max_size=8))
+@example(n=1, u=1e-6, fractions=[0.001, 0.5, 0.999])          # beta1 -> 0
+@example(n=1, u=1.0, fractions=[0.001, 0.5, 0.999])           # beta1 = 1
+@example(n=2, u=1.0, fractions=[0.001, 0.5, 0.999])           # n beta1 -> 2
+@example(n=4, u=1.0 - 1e-9, fractions=[0.001, 0.5, 0.999])    # n beta1 -> 2
+def test_round_trip_and_monotone_property(n, u, fractions):
+    p = make_profile(n, _valid_beta1(n, u))
+    m = build_map(p, s_hull=1e9)
+    span = p.alpha2 - 1.0
+    # distinct by at least 1e-6 of the interval, far above rounding in s
+    taus = sorted({1.0 + round(f, 6) * span for f in fractions})
+    ss = [s_of_tau(m, t) for t in taus]
+    assert all(a < b for a, b in zip(ss, ss[1:]))
+    for tau, s in zip(taus, ss):
+        back = tau_of_s(m, s)
+        # one ulp of s moves tau by about phi(tau) ulp(s)
+        tol = 1e-12 * p.alpha2 + 4.0 * eval_phi(p, tau) * math.ulp(s)
+        assert abs(back - tau) <= tol, (tau, s, back)
 
 
 def test_y_coordinate_affine():

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from hirzebruch_kee import QuadratureConfig, QuadratureError, quad_checked
-from hirzebruch_kee.quadrature import gauss_cell
 
 
 def test_quad_checked_exact_polynomial():
@@ -15,17 +14,3 @@ def test_quad_checked_flags_exhausted_subdivisions():
     cfg = QuadratureConfig(epsabs=1e-14, epsrel=1e-14, limit=2)
     with pytest.raises(QuadratureError):
         quad_checked(lambda x: math.sin(1.0 / x), 1e-8, 1.0, cfg)
-
-
-def test_gauss_cell_polynomial_exact():
-    # order 32 integrates degree-63 polynomials exactly
-    val = gauss_cell(lambda x: 7.0 * x ** 6, -1.0, 1.5, order=32)
-    assert abs(val - (1.5 ** 7 + 1.0)) < 1e-12
-
-
-def test_gauss_cell_signed():
-    # integrand must accept ndarrays; reversing the interval flips the sign
-    import numpy as np
-    fwd = gauss_cell(np.cos, 0.0, 1.0)
-    rev = gauss_cell(np.cos, 1.0, 0.0)
-    assert abs(fwd + rev) < 1e-15
