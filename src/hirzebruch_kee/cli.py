@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,11 @@ EINSTEIN_THRESHOLD = 1e-5
 PROPORTIONALITY_THRESHOLD = 1e-12
 VOLUME_MATCH_THRESHOLD = 1e-9
 ANGLE_THRESHOLD = 1e-3          # fraction of the 2 pi beta target
-MIN_QUAD_TOL = 50.0 * sys.float_info.epsilon   # scipy's floor for a relative target
+FIBER_AREA_THRESHOLD = 1e-10    # relative, quadrature vs 2 pi (alpha2 - 1)
+# two converged Gauss-Legendre sums agree only to their rounding, a few ulps
+# of the integral, so a relative target under 50 eps would fail on rounding
+# alone
+MIN_QUAD_TOL = 50.0 * sys.float_info.epsilon
 
 
 @dataclass
@@ -325,14 +329,15 @@ def _run_fiber(cfg: RunConfig):
     defect_lo = abs(angle_lo - 2.0 * math.pi * p.beta1) / (2.0 * math.pi)
     defect_hi = abs(angle_hi - 2.0 * math.pi * p.beta2) / (2.0 * math.pi)
     vol_defect = abs(vol_quad - vol_closed) / vol_closed
-    ok = defect_lo <= ANGLE_THRESHOLD and defect_hi <= ANGLE_THRESHOLD and vol_defect <= 1e-10
+    ok = (defect_lo <= ANGLE_THRESHOLD and defect_hi <= ANGLE_THRESHOLD
+          and vol_defect <= FIBER_AREA_THRESHOLD)
     row = {
         "command": cfg.command, "n": p.n, "beta1": p.beta1,
         "quad_tol": cfg.quad_tol, "probe_distance": d,
         "fiber_length_full": length_full,
         "length_asymptote": limits.fiber_length_asymptote(p.n),
         "fiber_volume_quad": vol_quad, "fiber_volume_closed": vol_closed,
-        "volume_defect": vol_defect,
+        "volume_defect": vol_defect, "volume_defect_threshold": FIBER_AREA_THRESHOLD,
         "cone_angle_lower": angle_lo, "cone_angle_upper": angle_hi,
         "angle_defect_lower": defect_lo, "angle_defect_upper": defect_hi,
         "angle_threshold": ANGLE_THRESHOLD,
@@ -447,15 +452,24 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+# the RunConfig fields each subcommand parses, in RunConfig order
+_META_FIELDS = {
+    "solve": ("n", "beta1", "emit_profile"),
+    "scan": ("n", "beta1_min", "beta1_max", "count", "log_grid"),
+    "verify": ("n", "beta1", "grid", "fd_step", "s_hull"),
+    "fiber": ("n", "beta1", "quad_tol", "probe_distance"),
+    "classes": ("n", "beta1", "quad_tol"),
+    "limit": ("n", "beta1_list", "s_hull"),
+}
+
+
 def _meta(cfg: RunConfig) -> dict:
-    # echo the computation config only: where the report lands must not
-    # change its bytes
+    # echo only the computation config the subcommand reads: where the
+    # report lands must not change its bytes
     meta = {"tool": "kee", "command": cfg.command}
-    for f in fields(RunConfig):
-        if f.name in ("command", "output_format", "output_path"):
-            continue
-        v = getattr(cfg, f.name)
-        meta[f.name] = list(v) if isinstance(v, tuple) else v
+    for name in _META_FIELDS[cfg.command]:
+        v = getattr(cfg, name)
+        meta[name] = list(v) if isinstance(v, tuple) else v
     return meta
 
 

@@ -127,6 +127,44 @@ def test_nan_einstein_residual_fails(monkeypatch, capsys):
     assert math.isnan(doc["rows"][0]["einstein_residual_max"])
 
 
+_META_KEYS = {
+    "solve": (["--beta1", "0.5"], {"n", "beta1", "emit_profile"}),
+    "scan": (["--beta1-min", "0.1", "--beta1-max", "0.2", "--count", "2"],
+             {"n", "beta1_min", "beta1_max", "count", "log_grid"}),
+    "verify": (["--beta1", "0.5", "--grid", "1"],
+               {"n", "beta1", "grid", "fd_step", "s_hull"}),
+    "fiber": (["--beta1", "0.5"], {"n", "beta1", "quad_tol", "probe_distance"}),
+    "classes": (["--beta1", "0.5"], {"n", "beta1", "quad_tol"}),
+    "limit": (["--beta1-seq", "0.2,0.1"], {"n", "beta1_list", "s_hull"}),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_META_KEYS))
+def test_meta_echoes_only_parsed_fields(cmd, capsys):
+    extra, keys = _META_KEYS[cmd]
+    assert main([cmd, "--n", "1", *extra]) == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert set(meta) == {"tool", "command"} | keys
+    assert meta["command"] == cmd
+
+
+def test_fiber_volume_gate_fails_on_small_defect(monkeypatch, capsys):
+    # a fiber area off by 1e-8 relative is 100x over the gate
+    from hirzebruch_kee import geometry
+    from hirzebruch_kee.cli import FIBER_AREA_THRESHOLD
+
+    true_volume = geometry.fiber_volume
+    monkeypatch.setattr(geometry, "fiber_volume",
+                        lambda p, quad=None: true_volume(p, quad) * (1.0 + 1e-8))
+    argv = ["fiber", "--n", "1", "--beta1", "0.5"]
+    rows, status = run(parse(argv))
+    assert status == 1 and rows[0]["status"] == "fail"
+    assert rows[0]["volume_defect"] > rows[0]["volume_defect_threshold"]
+    assert rows[0]["volume_defect_threshold"] == FIBER_AREA_THRESHOLD
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["rows"][0]["status"] == "fail"
+
+
 def test_run_solve_reports_rigid_angle():
     cfg = parse(["solve", "--n", "1", "--beta1", "1.0"])
     rows, status = run(cfg)

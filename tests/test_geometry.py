@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -175,6 +176,41 @@ def test_fiber_length_degenerate_and_additive():
     lbc = fiber_length(p, b, c, DEFAULT_QUAD)
     lac = fiber_length(p, a, c, DEFAULT_QUAD)
     assert abs(lab + lbc - lac) < 1e-9
+
+
+def _mp_fiber_lengths(n, b1, w_lo, w_hi):
+    # 30-digit fiber lengths from (n, beta1) alone: the roots come from
+    # Vieta (alpha1 + alpha2 = -alpha1 alpha2 = (1 + n b1)/(2 - n b1)), and
+    # tau = 1 + (alpha2 - 1) sin^2(th) removes both endpoint singularities at
+    # once, a different route from the package's two one-sided substitutions
+    with mp.workdps(30):
+        b = mp.mpf(b1)
+        S = (1 + n * b) / (2 - n * b)
+        a1, a2 = (S - mp.sqrt(S * S + 4 * S)) / 2, (S + mp.sqrt(S * S + 4 * S)) / 2
+        cbar = (2 / mp.mpf(n) - b) / 3
+
+        def F(th):
+            tau = 1 + (a2 - 1) * mp.sin(th) ** 2
+            return mp.sqrt(2 * tau / (cbar * (tau - a1)))
+
+        def edge(w):
+            return mp.asin(mp.sqrt(w / (a2 - 1)))
+
+        return (mp.quad(F, [0, mp.pi / 2]), mp.quad(F, [0, edge(w_lo)]),
+                mp.quad(F, [mp.pi / 2 - edge(w_hi), mp.pi / 2]))
+
+
+@pytest.mark.parametrize("n, b1", [(1, 1.0), (1, 0.999), (2, 1e-3), (3, 0.4), (4, 0.4975)])
+def test_fiber_length_matches_mpmath(n, b1):
+    # full length and the two 1e-6 pieces the cone-angle probes measure;
+    # the pieces' widths are the exact float widths the package integrates
+    p = make_profile(n, b1)
+    lo_end, hi_start = 1.0 + 1e-6, p.alpha2 - 1e-6
+    ref = _mp_fiber_lengths(n, b1, mp.mpf(lo_end) - 1, mp.mpf(p.alpha2) - mp.mpf(hi_start))
+    got = (fiber_length(p, 1.0, p.alpha2), fiber_length(p, 1.0, lo_end),
+           fiber_length(p, hi_start, p.alpha2))
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= 1e-13 * r
 
 
 def test_fiber_length_rejects_bad_interval():
