@@ -4,10 +4,16 @@ Subcommands: solve, scan, verify, fiber, classes, limit.  Reports are flat
 key-value rows, emitted as JSON ({"meta": ..., "rows": [...]}) or CSV with a
 header row, every float serialized with 17 significant digits so that
 parsing the report reproduces the computed doubles exactly.  Output is byte
-deterministic: rows are sorted by (n, beta1), key order is fixed, and sweep
-concurrency (capped by the KEE_THREADS environment variable) never reorders
-results.  Exit codes: 0 success, 1 a verification residual exceeded its
-threshold (or a numeric error was reported), 2 usage error, 3 I/O error.
+deterministic: rows are sorted by (n, beta1), key order is fixed, and
+sweeps run serially.  The KEE_THREADS environment variable is still checked
+(a value that is not a positive integer is a usage error) but no longer
+changes execution.  Exit codes: 0 success, 1 a verification residual
+exceeded its threshold (or a numeric error was reported), 2 usage error,
+3 I/O error.
+
+The argparse parser is the one declaration of each flag: its name, default
+and validator (a type= callable).  The parsed namespace is the run
+configuration, and the report meta echoes it in parser order.
 """
 
 from __future__ import annotations
@@ -19,15 +25,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import cohomology, geometry, limits
 from .errors import KeeError, UsageError
 from .legendre import build_map, tau_of_s
-from .profile import (BETA1_CONSTRAINT, EinsteinProfile, _validate_n_beta1,
+from .profile import (EinsteinProfile, _validate_n_beta1,
                       eval_phi, eval_phi_prime, make_profile, ode_residual)
 from .quadrature import QuadratureConfig
 
@@ -44,97 +48,113 @@ FIBER_AREA_THRESHOLD = 1e-10    # relative, quadrature vs 2 pi (alpha2 - 1)
 MIN_QUAD_TOL = 50.0 * sys.float_info.epsilon
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int
-    beta1: float | None = None
-    beta1_list: tuple[float, ...] | None = None
-    beta1_min: float | None = None
-    beta1_max: float | None = None
-    count: int | None = None
-    log_grid: bool = True
-    emit_profile: int | None = None
-    grid: int = 5
-    fd_step: float = 1e-3
-    quad_tol: float = 1e-10
-    s_hull: float = 40.0
-    probe_distance: float = 1e-6
-    output_format: str = "json"
-    output_path: str | None = None
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
 
-def _add_output_flags(sp):
-    sp.add_argument("--format", choices=("json", "csv"), default=None,
-                    help="report format (default json)")
-    sp.add_argument("--out", default=None, metavar="FMT_OR_PATH",
-                    help="either a format name (json/csv) or an output file path")
+def _float_in(lo: float, hi: float = math.inf, lo_closed: bool = False):
+    """Make a type= callable that accepts a finite float in (lo, hi), or [lo, hi) when lo_closed."""
+    span = f"{'[' if lo_closed else '('}{lo:g}, {hi:g})"
+
+    def check(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        above = value >= lo if lo_closed else value > lo
+        if not (math.isfinite(value) and above and value < hi):
+            raise argparse.ArgumentTypeError(f"must be a finite value in {span}, got {text}")
+        return value
+    return check
+
+
+def _int_at_least(k: int):
+    """Make a type= callable that accepts an integer >= k."""
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < k:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {k}, got {text}")
+        return value
+    return check
+
+
+def _ladder(text: str) -> tuple[float, ...]:
+    """A type= callable: a comma-separated, strictly decreasing beta1 ladder."""
+    try:
+        seq = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"could not parse {text!r}") from None
+    if not seq:
+        raise argparse.ArgumentTypeError("must list at least one value")
+    if any(b2 >= b1 for b1, b2 in zip(seq, seq[1:])):
+        raise argparse.ArgumentTypeError(f"must decrease strictly, got {list(seq)}")
+    return seq
 
 
 def _build_parser() -> _Parser:
+    # each subcommand's flags are added in the order its report meta echoes them
     parser = _Parser(prog="kee", description="Kahler-Einstein edge metrics on Hirzebruch surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="profile data for one (n, beta1)")
-    solve.add_argument("--n", type=int, required=True)
-    solve.add_argument("--beta1", type=float, required=True)
-    solve.add_argument("--emit-profile", type=int, default=None, metavar="N",
-                       help="append N equispaced (tau, phi, phi') samples")
-    _add_output_flags(solve)
+    def command(name, summary, beta1=True):
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--n", type=_int_at_least(1), required=True)
+        if beta1:
+            sp.add_argument("--beta1", type=float, required=True)
+        return sp
 
-    scan = sub.add_parser("scan", help="sweep beta1 over a grid")
-    scan.add_argument("--n", type=int, required=True)
+    quad_tol = dict(type=_float_in(MIN_QUAD_TOL, 1.0, lo_closed=True), default=1e-10)
+    s_hull = dict(type=_float_in(1.0, lo_closed=True), default=40.0)
+
+    solve = command("solve", "profile data for one (n, beta1)")
+    solve.add_argument("--emit-profile", type=_int_at_least(2), default=None, metavar="N",
+                       help="append N equispaced (tau, phi, phi') samples")
+
+    scan = command("scan", "sweep beta1 over a grid", beta1=False)
     scan.add_argument("--beta1-min", type=float, required=True)
     scan.add_argument("--beta1-max", type=float, required=True)
-    scan.add_argument("--count", type=int, required=True)
-    scan.add_argument("--linear", action="store_true",
+    scan.add_argument("--count", type=_int_at_least(1), required=True)
+    scan.add_argument("--linear", dest="log_grid", action="store_false",
                       help="linear beta1 grid (default is logarithmic)")
-    _add_output_flags(scan)
 
-    verify = sub.add_parser("verify", help="ODE, determinant, and Einstein residuals")
-    verify.add_argument("--n", type=int, required=True)
-    verify.add_argument("--beta1", type=float, required=True)
-    verify.add_argument("--grid", type=int, default=5,
+    verify = command("verify", "ODE, determinant, and Einstein residuals")
+    verify.add_argument("--grid", type=_int_at_least(1), default=5,
                         help="G: Einstein residual sweeps a GxGx3 chart grid")
-    verify.add_argument("--fd-step", type=float, default=1e-3)
-    verify.add_argument("--s-hull", type=float, default=40.0)
-    _add_output_flags(verify)
+    verify.add_argument("--fd-step", type=_float_in(0.0, 1.0), default=1e-3)
+    verify.add_argument("--s-hull", **s_hull)
 
-    fiber = sub.add_parser("fiber", help="fiber lengths, cone angle probes, volumes")
-    fiber.add_argument("--n", type=int, required=True)
-    fiber.add_argument("--beta1", type=float, required=True)
-    fiber.add_argument("--probe-distance", type=float, default=1e-6)
-    fiber.add_argument("--quad-tol", type=float, default=1e-10)
-    _add_output_flags(fiber)
+    fiber = command("fiber", "fiber lengths, cone angle probes, volumes")
+    fiber.add_argument("--quad-tol", **quad_tol)
+    # the upper end depends on the profile; cone_angle_probe reports it
+    fiber.add_argument("--probe-distance", type=_float_in(0.0), default=1e-6)
 
-    classes = sub.add_parser("classes", help="cohomology of the Einstein class")
-    classes.add_argument("--n", type=int, required=True)
-    classes.add_argument("--beta1", type=float, required=True)
-    classes.add_argument("--quad-tol", type=float, default=1e-10)
-    _add_output_flags(classes)
+    classes = command("classes", "cohomology of the Einstein class")
+    classes.add_argument("--quad-tol", **quad_tol)
 
-    limit = sub.add_parser("limit", help="small-angle collapse diagnostics")
-    limit.add_argument("--n", type=int, required=True)
-    limit.add_argument("--beta1-seq", required=True, metavar="B1,B2,...",
-                       help="strictly decreasing beta1 ladder")
-    limit.add_argument("--s-hull", type=float, default=40.0)
-    _add_output_flags(limit)
+    limit = command("limit", "small-angle collapse diagnostics", beta1=False)
+    limit.add_argument("--beta1-seq", dest="beta1_list", type=_ladder, required=True,
+                       metavar="B1,B2,...", help="strictly decreasing beta1 ladder")
+    limit.add_argument("--s-hull", **s_hull)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--format", dest="output_format", choices=("json", "csv"),
+                        default=None, help="report format (default json)")
+        sp.add_argument("--out", dest="output_path", default=None, metavar="FMT_OR_PATH",
+                        help="either a format name (json/csv) or an output file path")
     return parser
 
 
-def _resolve_output(ns) -> tuple[str, str | None]:
-    fmt, path = ns.format, None
-    if ns.out is not None:
-        if ns.out in ("json", "csv"):
-            fmt = fmt or ns.out
+def _resolve_output(fmt: str | None, out: str | None) -> tuple[str, str | None]:
+    path = None
+    if out is not None:
+        if out in ("json", "csv"):
+            fmt = fmt or out
         else:
-            path = ns.out
+            path = out
             if fmt is None and path.lower().endswith(".csv"):
                 fmt = "csv"
             elif fmt is None and path.lower().endswith(".json"):
@@ -142,109 +162,41 @@ def _resolve_output(ns) -> tuple[str, str | None]:
     return fmt or "json", path
 
 
-def _check_flag(flag: str, value: float, lo: float, hi: float = math.inf,
-                lo_closed: bool = False) -> float:
-    """A finite flag value inside (lo, hi), or [lo, hi) when lo_closed."""
-    value = float(value)
-    above = value >= lo if lo_closed else value > lo
-    if not (math.isfinite(value) and above and value < hi):
-        span = f"{'[' if lo_closed else '('}{lo:g}, {hi:g})"
-        raise UsageError(f"{flag} must be a finite value in {span}, got {value}")
-    return value
+def parse(argv) -> argparse.Namespace:
+    """Parse an argv list into a validated namespace (UsageError on misuse).
 
-
-def _check_beta1(n: int, beta1: float) -> float:
-    try:
-        _validate_n_beta1(n, beta1)
-    except KeeError as exc:
-        raise UsageError(str(exc)) from exc
-    return float(beta1)
-
-
-def parse(argv) -> RunConfig:
-    """Parse an argv list into a validated RunConfig (UsageError on misuse)."""
+    Each flag validates itself through its type=; only the checks that
+    tie two flags together run here."""
     ns = _build_parser().parse_args(list(argv))
-    fmt, path = _resolve_output(ns)
-    cfg = RunConfig(command=ns.command, n=ns.n, output_format=fmt, output_path=path)
-    if ns.n < 1:
-        raise UsageError(f"n must be a positive integer, got {ns.n}")
-
-    if ns.command == "solve":
-        cfg.beta1 = _check_beta1(ns.n, ns.beta1)
-        if ns.emit_profile is not None:
-            if ns.emit_profile < 2:
-                raise UsageError("--emit-profile needs N >= 2 samples")
-            cfg.emit_profile = ns.emit_profile
-    elif ns.command == "scan":
-        lo = _check_beta1(ns.n, ns.beta1_min)
-        hi = _check_beta1(ns.n, ns.beta1_max)
-        if not lo <= hi:
-            raise UsageError(f"need beta1-min <= beta1-max, got {lo} > {hi}")
-        if ns.count < 1:
-            raise UsageError(f"count must be >= 1, got {ns.count}")
-        cfg.beta1_min, cfg.beta1_max, cfg.count = lo, hi, ns.count
-        cfg.log_grid = not ns.linear
-    elif ns.command == "verify":
-        cfg.beta1 = _check_beta1(ns.n, ns.beta1)
-        if ns.grid < 1:
-            raise UsageError(f"grid must be >= 1, got {ns.grid}")
-        cfg.grid = ns.grid
-        cfg.fd_step = _check_flag("--fd-step", ns.fd_step, 0.0, 1.0)
-        cfg.s_hull = _check_flag("--s-hull", ns.s_hull, 1.0, lo_closed=True)
-    elif ns.command == "fiber":
-        cfg.beta1 = _check_beta1(ns.n, ns.beta1)
-        # the upper end depends on the profile; cone_angle_probe reports it
-        cfg.probe_distance = _check_flag("--probe-distance", ns.probe_distance, 0.0)
-        cfg.quad_tol = _check_flag("--quad-tol", ns.quad_tol, MIN_QUAD_TOL, 1.0, lo_closed=True)
-    elif ns.command == "classes":
-        cfg.beta1 = _check_beta1(ns.n, ns.beta1)
-        cfg.quad_tol = _check_flag("--quad-tol", ns.quad_tol, MIN_QUAD_TOL, 1.0, lo_closed=True)
-    elif ns.command == "limit":
+    ns.output_format, ns.output_path = _resolve_output(ns.output_format, ns.output_path)
+    beta1s = [getattr(ns, k) for k in ("beta1", "beta1_min", "beta1_max") if hasattr(ns, k)]
+    for beta1 in beta1s + list(getattr(ns, "beta1_list", ())):
         try:
-            seq = tuple(float(tok) for tok in ns.beta1_seq.split(",") if tok.strip())
-        except ValueError as exc:
-            raise UsageError(f"could not parse --beta1-seq {ns.beta1_seq!r}") from exc
-        if not seq:
-            raise UsageError("--beta1-seq must list at least one value")
-        for b in seq:
-            _check_beta1(ns.n, b)
-        if any(b2 >= b1 for b1, b2 in zip(seq, seq[1:])):
-            raise UsageError(f"--beta1-seq must decrease strictly, got {list(seq)}")
-        cfg.beta1_list = seq
-        cfg.s_hull = _check_flag("--s-hull", ns.s_hull, 1.0, lo_closed=True)
-    return cfg
+            _validate_n_beta1(ns.n, beta1)
+        except KeeError as exc:
+            raise UsageError(str(exc)) from exc
+    if ns.command == "scan" and not ns.beta1_min <= ns.beta1_max:
+        raise UsageError(f"need beta1-min <= beta1-max, got {ns.beta1_min} > {ns.beta1_max}")
+    return ns
 
 
-def _worker_count() -> int:
+def _check_thread_env() -> None:
     raw = os.environ.get("KEE_THREADS", "").strip()
     if not raw:
-        return 1
+        return
     try:
-        value = int(raw)
+        ok = int(raw) >= 1
     except ValueError:
-        raise UsageError(f"KEE_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError(f"KEE_THREADS must be a positive integer, got {value}")
-    return value
-
-
-def _sweep(items, fn):
-    """Order-preserving map over sweep entries, threaded when allowed.
-
-    Each entry is computed independently, so the result bytes do not depend
-    on the worker count."""
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        ok = False
+    if not ok:
+        raise UsageError(f"KEE_THREADS must be a positive integer, got {raw!r}")
 
 
 def _quad_config(quad_tol: float) -> QuadratureConfig:
     return QuadratureConfig(epsabs=0.01 * quad_tol, epsrel=quad_tol)
 
 
-def _solve_row(cfg: RunConfig, p: EinsteinProfile, kind: str = "summary",
+def _solve_row(cfg: argparse.Namespace, p: EinsteinProfile, kind: str = "summary",
                tau: float | None = None) -> dict:
     row = {
         "command": cfg.command, "kind": kind, "n": p.n, "beta1": p.beta1,
@@ -259,7 +211,7 @@ def _solve_row(cfg: RunConfig, p: EinsteinProfile, kind: str = "summary",
     return row
 
 
-def _run_solve(cfg: RunConfig):
+def _run_solve(cfg: argparse.Namespace):
     p = make_profile(cfg.n, cfg.beta1)
     rows = [_solve_row(cfg, p)]
     if cfg.emit_profile:
@@ -268,21 +220,17 @@ def _run_solve(cfg: RunConfig):
     return rows, 0
 
 
-def _run_scan(cfg: RunConfig):
+def _run_scan(cfg: argparse.Namespace):
     if cfg.count == 1:
         grid = [cfg.beta1_min]
     elif cfg.log_grid:
         grid = [float(b) for b in np.geomspace(cfg.beta1_min, cfg.beta1_max, cfg.count)]
     else:
         grid = [float(b) for b in np.linspace(cfg.beta1_min, cfg.beta1_max, cfg.count)]
-
-    def one(beta1):
-        return _solve_row(cfg, make_profile(cfg.n, beta1))
-
-    return _sweep(grid, one), 0
+    return [_solve_row(cfg, make_profile(cfg.n, beta1)) for beta1 in grid], 0
 
 
-def _run_verify(cfg: RunConfig):
+def _run_verify(cfg: argparse.Namespace):
     p = make_profile(cfg.n, cfg.beta1)
     m = build_map(p, s_hull=cfg.s_hull)
 
@@ -317,7 +265,7 @@ def _run_verify(cfg: RunConfig):
     return [row], 0 if ok else 1
 
 
-def _run_fiber(cfg: RunConfig):
+def _run_fiber(cfg: argparse.Namespace):
     p = make_profile(cfg.n, cfg.beta1)
     quad = _quad_config(cfg.quad_tol)
     d = cfg.probe_distance
@@ -346,7 +294,7 @@ def _run_fiber(cfg: RunConfig):
     return [row], 0 if ok else 1
 
 
-def _run_classes(cfg: RunConfig):
+def _run_classes(cfg: argparse.Namespace):
     p = make_profile(cfg.n, cfg.beta1)
     quad = _quad_config(cfg.quad_tol)
     kee = cohomology.kee_class(p.n, p.beta1, p.beta2)
@@ -379,24 +327,20 @@ def _run_classes(cfg: RunConfig):
     return [row], 0 if ok else 1
 
 
-def _run_limit(cfg: RunConfig):
-    probe = limits._DEFAULT_PROBE
-
-    def one(beta1):
-        e = limits.collapse_entry(cfg.n, beta1, probe=probe, s_hull=cfg.s_hull)
-        return {
-            "command": cfg.command, "n": cfg.n, "beta1": e.beta1,
-            "s_hull": cfg.s_hull,
-            "probe_z_re": probe.z.real, "probe_z_im": probe.z.imag,
-            "probe_w_re": probe.w.real, "probe_w_im": probe.w.imag,
-            "beta2": e.beta2, "alpha2": e.alpha2,
-            "fiber_length": e.fiber_length, "rescaled_length": e.rescaled_length,
-            "rescaled_coeff_y": e.rescaled_coeff_y,
-            "rescaled_coeff_theta": e.rescaled_coeff_theta,
-            "tensor_deviation": e.tensor_deviation_at_probe,
-        }
-
-    return _sweep(list(cfg.beta1_list), one), 0
+def _run_limit(cfg: argparse.Namespace):
+    report = limits.collapse_report(cfg.n, cfg.beta1_list, s_hull=cfg.s_hull)
+    probe = report.probe
+    return [{
+        "command": cfg.command, "n": cfg.n, "beta1": e.beta1,
+        "s_hull": cfg.s_hull,
+        "probe_z_re": probe.z.real, "probe_z_im": probe.z.imag,
+        "probe_w_re": probe.w.real, "probe_w_im": probe.w.imag,
+        "beta2": e.beta2, "alpha2": e.alpha2,
+        "fiber_length": e.fiber_length, "rescaled_length": e.rescaled_length,
+        "rescaled_coeff_y": e.rescaled_coeff_y,
+        "rescaled_coeff_theta": e.rescaled_coeff_theta,
+        "tensor_deviation": e.tensor_deviation_at_probe,
+    } for e in report.entries], 0
 
 
 _RUNNERS = {
@@ -405,14 +349,14 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig):
-    """Execute a config; returns (rows, exit_status).
+def run(cfg: argparse.Namespace):
+    """Execute a parsed namespace; returns (rows, exit_status).
 
     Numeric failures inside a command become a structured error row with
     exit status 1 rather than a traceback; usage problems (bad KEE_THREADS)
     still raise UsageError.
     """
-    _worker_count()  # validate the env var before doing any work
+    _check_thread_env()  # before doing any work
     try:
         rows, status = _RUNNERS[cfg.command](cfg)
     except UsageError:
@@ -452,25 +396,11 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-# the RunConfig fields each subcommand parses, in RunConfig order
-_META_FIELDS = {
-    "solve": ("n", "beta1", "emit_profile"),
-    "scan": ("n", "beta1_min", "beta1_max", "count", "log_grid"),
-    "verify": ("n", "beta1", "grid", "fd_step", "s_hull"),
-    "fiber": ("n", "beta1", "quad_tol", "probe_distance"),
-    "classes": ("n", "beta1", "quad_tol"),
-    "limit": ("n", "beta1_list", "s_hull"),
-}
-
-
-def _meta(cfg: RunConfig) -> dict:
-    # echo only the computation config the subcommand reads: where the
-    # report lands must not change its bytes
-    meta = {"tool": "kee", "command": cfg.command}
-    for name in _META_FIELDS[cfg.command]:
-        v = getattr(cfg, name)
-        meta[name] = list(v) if isinstance(v, tuple) else v
-    return meta
+def _meta(cfg: argparse.Namespace) -> dict:
+    # echo the subcommand and the flags it parses, in parser order; where
+    # the report lands must not change its bytes
+    return {"tool": "kee", **{k: v for k, v in vars(cfg).items()
+                              if k not in ("output_format", "output_path")}}
 
 
 def render(records: list, output_format: str, meta: dict | None = None,
@@ -491,20 +421,16 @@ def render(records: list, output_format: str, meta: dict | None = None,
         return buf.getvalue().encode("utf-8")
     # hand-rolled JSON keeps float formatting and key order pinned down
     out = ["{\n  \"meta\": {"]
-    out.append(", ".join(f"{_qjson(k)}: {_json_value(v)}"
+    out.append(", ".join(f"{json.dumps(k)}: {_json_value(v)}"
                          for k, v in (meta or {}).items()))
     out.append("},\n  \"rows\": [\n")
     lines = []
     for row in records:
-        cells = ", ".join(f"{_qjson(k)}: {_json_value(row.get(k))}" for k in fieldnames)
+        cells = ", ".join(f"{json.dumps(k)}: {_json_value(row.get(k))}" for k in fieldnames)
         lines.append("    {" + cells + "}")
     out.append(",\n".join(lines))
     out.append("\n  ]\n}\n")
     return "".join(out).encode("utf-8")
-
-
-def _qjson(s: str) -> str:
-    return json.dumps(s)
 
 
 def _json_value(v) -> str:
@@ -514,9 +440,9 @@ def _json_value(v) -> str:
 
 
 def emit(records: list, output_format: str, output_path: str | None = None,
-         meta: dict | None = None, fieldnames: list | None = None) -> int:
+         meta: dict | None = None) -> int:
     """Write a rendered report to a path (or stdout); returns bytes written."""
-    payload = render(records, output_format, meta, fieldnames)
+    payload = render(records, output_format, meta)
     if output_path is None:
         sys.stdout.write(payload.decode("utf-8"))
         sys.stdout.flush()

@@ -10,7 +10,11 @@ class DomainError(KeeError, ValueError):
 
 
 class RangeError(KeeError, ValueError):
-    """A query falls outside the hull covered by a tabulated map."""
+    """A query falls outside what a tau <-> s map covers.
+
+    That is the open interval (1, alpha2) in tau, where s is finite, and the
+    arclength hull |s| <= s_hull + 2 the map was built for.
+    """
 
 
 class QuadratureError(KeeError, RuntimeError):

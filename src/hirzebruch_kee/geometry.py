@@ -74,11 +74,6 @@ class HermitianForm2:
         gap = math.hypot(self.g_ww - self.g_zz, 2.0 * abs(self.g_wz))
         return 0.5 * (tr - gap)
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.g_ww, self.g_wz],
-                         [self.g_wz.conjugate() if isinstance(self.g_wz, complex)
-                          else self.g_wz, self.g_zz]], dtype=complex)
-
     def scaled(self, k: float) -> "HermitianForm2":
         return HermitianForm2(k * self.g_ww, k * self.g_wz, k * self.g_zz)
 

@@ -16,13 +16,13 @@ profile concentrates as
 
     phi = ((2 - n beta1)/(2n)) * (n^2 beta1^2/4) * (1 - beta1^2 y^2) + O(beta1^3)
 
-and the fiber metric, rescaled by 1/beta1^2 radially and beta1^2/4
-angularly... concretely the pair
+and the fiber metric dtau^2/(2 phi) + 2 phi dtheta^2, written in y and
+divided by beta1^2, becomes coeff_y dy^2 + coeff_theta dtheta^2 with
 
     coeff_y     = n^2 beta1^2 / (8 phi),
-    coeff_theta = 2 phi / beta1^2,
+    coeff_theta = 2 phi / beta1^2.
 
-both tend to n/2: the fibers collapse to round two-spheres of a fixed shape
+Both tend to n/2: the fibers collapse to round two-spheres of a fixed shape
 while the total space converges, as tensors at fixed chart points, to n
 times the pullback of the Fubini-Study metric of the base.  Two diagnostics
 are reported side by side without adjudication: the unrescaled fiber length

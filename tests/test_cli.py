@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hirzebruch_kee import UsageError
-from hirzebruch_kee.cli import RunConfig, emit, main, parse, render, run
+from hirzebruch_kee.cli import emit, main, parse, render, run
 
 
 def parse_json(payload: bytes):
@@ -20,9 +20,17 @@ def parse_csv(payload: bytes):
 def test_parse_solve_defaults():
     cfg = parse(["solve", "--n", "1", "--beta1", "1.0", "--format", "json"])
     assert cfg.command == "solve"
-    assert cfg.n == 1 and cfg.beta1 == 1.0
+    assert cfg.n == 1 and cfg.beta1 == 1.0 and cfg.emit_profile is None
     assert cfg.output_format == "json" and cfg.output_path is None
-    assert cfg.fd_step == 1e-3 and cfg.quad_tol == 1e-10 and cfg.s_hull == 40.0
+    # each default lives on the subcommand that reads it, and only there
+    assert not any(hasattr(cfg, k) for k in ("fd_step", "quad_tol", "s_hull"))
+    verify = parse(_argv("verify"))
+    assert verify.grid == 5 and verify.fd_step == 1e-3 and verify.s_hull == 40.0
+    fiber = parse(_argv("fiber"))
+    assert fiber.quad_tol == 1e-10 and fiber.probe_distance == 1e-6
+    assert parse(_argv("classes")).quad_tol == 1e-10
+    assert parse(_argv("limit")).s_hull == 40.0
+    assert parse(_argv("scan")).log_grid is True
 
 
 def test_parse_rejects_bad_beta1_with_constraint():
@@ -74,11 +82,20 @@ _BAD_FLAGS = [
     (cmd, "--s-hull", v) for cmd in ("verify", "limit") for v in ("nan", "inf", "0.5")
 ] + [
     ("fiber", "--probe-distance", v) for v in ("nan", "inf", "0", "-0.1")
+] + [
+    ("solve", "--n", "0"), ("verify", "--grid", "0"), ("scan", "--count", "0"),
+    ("solve", "--emit-profile", "1"),
 ]
 
 
+_BASE_ARGS = {
+    "limit": ["--beta1-seq", "0.2,0.1"],
+    "scan": ["--beta1-min", "0.1", "--beta1-max", "0.2", "--count", "2"],
+}
+
+
 def _argv(cmd, *extra):
-    base = (["--beta1-seq", "0.2,0.1"] if cmd == "limit" else ["--beta1", "0.5"])
+    base = _BASE_ARGS.get(cmd, ["--beta1", "0.5"])
     return [cmd, "--n", "1", *base, *extra]
 
 
@@ -128,14 +145,14 @@ def test_nan_einstein_residual_fails(monkeypatch, capsys):
 
 
 _META_KEYS = {
-    "solve": (["--beta1", "0.5"], {"n", "beta1", "emit_profile"}),
+    "solve": (["--beta1", "0.5"], ["n", "beta1", "emit_profile"]),
     "scan": (["--beta1-min", "0.1", "--beta1-max", "0.2", "--count", "2"],
-             {"n", "beta1_min", "beta1_max", "count", "log_grid"}),
+             ["n", "beta1_min", "beta1_max", "count", "log_grid"]),
     "verify": (["--beta1", "0.5", "--grid", "1"],
-               {"n", "beta1", "grid", "fd_step", "s_hull"}),
-    "fiber": (["--beta1", "0.5"], {"n", "beta1", "quad_tol", "probe_distance"}),
-    "classes": (["--beta1", "0.5"], {"n", "beta1", "quad_tol"}),
-    "limit": (["--beta1-seq", "0.2,0.1"], {"n", "beta1_list", "s_hull"}),
+               ["n", "beta1", "grid", "fd_step", "s_hull"]),
+    "fiber": (["--beta1", "0.5"], ["n", "beta1", "quad_tol", "probe_distance"]),
+    "classes": (["--beta1", "0.5"], ["n", "beta1", "quad_tol"]),
+    "limit": (["--beta1-seq", "0.2,0.1"], ["n", "beta1_list", "s_hull"]),
 }
 
 
@@ -144,7 +161,7 @@ def test_meta_echoes_only_parsed_fields(cmd, capsys):
     extra, keys = _META_KEYS[cmd]
     assert main([cmd, "--n", "1", *extra]) == 0
     meta = json.loads(capsys.readouterr().out)["meta"]
-    assert set(meta) == {"tool", "command"} | keys
+    assert list(meta) == ["tool", "command", *keys]      # byte order pinned
     assert meta["command"] == cmd
 
 

@@ -1,6 +1,8 @@
 import math
+import sys
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -67,6 +69,30 @@ def test_alpha2_closed_form():
     for p in sampled_profiles():
         want = (2.0 + p.n * p.beta2) / (2.0 - p.n * p.beta1)
         assert abs(p.alpha2 - want) < 1e-13 * want
+
+
+def _mp_closed_forms(n, b1):
+    # the closed forms restated at 30 digits, from the exact binary beta1
+    with mp.workdps(30):
+        b, nn = mp.mpf(b1), mp.mpf(n)
+        x = nn * b
+        ssum = (1 + x) / (2 - x)
+        a2 = (ssum + mp.sqrt(ssum * (ssum + 4))) / 2
+        b2 = (x - 3 + mp.sqrt(3 * (3 - x) * (1 + x))) / (2 * nn)
+        return b2, -ssum / a2, a2
+
+
+@pytest.mark.parametrize("n, b1", [(1, 1.0), (1, 0.999), (1, 0.5), (2, 1e-3),
+                                   (1, 1e-6), (3, 0.4), (4, 0.4975), (3, 0.6666)])
+def test_closed_forms_match_mpmath(n, b1):
+    eps = sys.float_info.epsilon
+    x = n * b1
+    # n*beta1 is rounded before alpha2 sees it, and alpha2 amplifies that
+    # rounding by x/(2 - x) as x -> 2
+    bounds = (4 * eps, 4 * eps, 16 * eps * (1 + x / (2 - x)))
+    p = make_profile(n, b1)
+    for got, want, bound in zip((p.beta2, p.alpha1, p.alpha2), _mp_closed_forms(n, b1), bounds):
+        assert abs((mp.mpf(got) - want) / want) <= bound
 
 
 def test_domain_rejections():
