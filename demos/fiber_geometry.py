@@ -4,8 +4,8 @@ Fiber geometry and volumes
 
 Each fiber over the base projective line is a two-sphere of revolution with
 cone points at both poles.  This script tabulates the fiber metric along the
-arclength coordinate, integrates lengths and areas, and checks the two
-closed-form volumes.
+arclength coordinate, takes meridian lengths in closed form, integrates
+areas, and checks the two closed-form volumes.
 """
 
 import math
@@ -34,9 +34,8 @@ def main():
 
     # meridian length from pole to pole, in two halves that must add up
     mid = 0.5 * (1.0 + p.alpha2)
-    whole = fiber_length(p, 1.0, p.alpha2, DEFAULT_QUAD)
-    halves = (fiber_length(p, 1.0, mid, DEFAULT_QUAD)
-              + fiber_length(p, mid, p.alpha2, DEFAULT_QUAD))
+    whole = fiber_length(p, 1.0, p.alpha2)
+    halves = fiber_length(p, 1.0, mid) + fiber_length(p, mid, p.alpha2)
     print(f"\nmeridian length  = {whole!r}")
     print(f"sum of halves    = {halves!r}   (diff {abs(whole-halves):.2e})")
 
@@ -54,7 +53,7 @@ def main():
     print("\nmeridian length as beta1 shrinks (n = 2):")
     for b1 in (0.1, 0.01, 0.001):
         q = make_profile(2, b1)
-        L = fiber_length(q, 1.0, q.alpha2, DEFAULT_QUAD)
+        L = fiber_length(q, 1.0, q.alpha2)
         print(f"  beta1 = {b1:<6}: length = {L:.8f}")
     print(f"  limit pi*sqrt(n/2) = {math.pi:.8f}")
 

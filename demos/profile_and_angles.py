@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from hirzebruch_kee import (DEFAULT_QUAD, cone_angle_probe, eval_phi,
-                            eval_phi_prime, make_profile, ode_residual)
+from hirzebruch_kee import (cone_angle_probe, eval_phi, eval_phi_prime,
+                            make_profile, ode_residual)
 
 
 def main():
@@ -39,8 +39,8 @@ def main():
     # small geodesic circles around each degenerate fiber end
     print("\nprobe depth   lower angle / 2pi   upper angle / 2pi")
     for depth in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        lo = cone_angle_probe(p, "lower", 1.0 + depth, DEFAULT_QUAD)
-        hi = cone_angle_probe(p, "upper", p.alpha2 - depth, DEFAULT_QUAD)
+        lo = cone_angle_probe(p, "lower", 1.0 + depth)
+        hi = cone_angle_probe(p, "upper", p.alpha2 - depth)
         print(f"  {depth:8.0e}   {lo/(2*math.pi):.12f}      {hi/(2*math.pi):.12f}")
     print(f"  target       {p.beta1:.12f}      {p.beta2:.12f}")
 

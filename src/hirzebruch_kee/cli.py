@@ -269,11 +269,11 @@ def _run_fiber(cfg: argparse.Namespace):
     p = make_profile(cfg.n, cfg.beta1)
     quad = _quad_config(cfg.quad_tol)
     d = cfg.probe_distance
-    length_full = geometry.fiber_length(p, 1.0, p.alpha2, quad)
+    length_full = geometry.fiber_length(p, 1.0, p.alpha2)
     vol_quad = geometry.fiber_volume(p, quad)
     vol_closed = 2.0 * math.pi * (p.alpha2 - 1.0)
-    angle_lo = geometry.cone_angle_probe(p, "lower", 1.0 + d, quad)
-    angle_hi = geometry.cone_angle_probe(p, "upper", p.alpha2 - d, quad)
+    angle_lo = geometry.cone_angle_probe(p, "lower", 1.0 + d)
+    angle_hi = geometry.cone_angle_probe(p, "upper", p.alpha2 - d)
     defect_lo = abs(angle_lo - 2.0 * math.pi * p.beta1) / (2.0 * math.pi)
     defect_hi = abs(angle_hi - 2.0 * math.pi * p.beta2) / (2.0 * math.pi)
     vol_defect = abs(vol_quad - vol_closed) / vol_closed

@@ -18,15 +18,16 @@ curvature enters that check, which is the point.
 Restricted to a fiber the metric is dtau^2/(2 phi) + 2 phi dtheta^2, so the
 radial arclength element is dtau/sqrt(2 phi).  The factor 2 is kept exactly
 throughout (dropping it, as rough estimates sometimes do, would scale every
-fiber length by sqrt(2)).  Fiber lengths handle the inverse-square-root
-endpoint singularity by the substitution tau = root -+ t^2, which makes the
-integrand analytic.
+fiber length by sqrt(2)).  Fiber lengths are elliptic integrals in the
+roots alpha1 < 0 < 1 < alpha2 of the profile's cubic, taken in closed form
+through Carlson's R_F and R_J, so no quadrature reaches them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,45 +224,91 @@ def einstein_residual(p: EinsteinProfile, m: TauSMap, grid: list[ChartPoint],
     return float(np.max(residuals))
 
 
-def _lower_piece(p: EinsteinProfile, a: float, b: float,
-                 quad: QuadratureConfig) -> float:
-    # integral of dtau/sqrt(2 phi) over [a, b] via tau = 1 + t^2; the
-    # substituted integrand sqrt(2 tau / (cbar rho d2)) is smooth up to tau = 1
-    cbar = -p.leading
-    ta, tb = math.sqrt(max(a - 1.0, 0.0)), math.sqrt(max(b - 1.0, 0.0))
-
-    def fun(t):
-        tau = 1.0 + t * t
-        rho = p.alpha2 - tau
-        d2 = tau - p.alpha1
-        return math.sqrt(2.0 * tau / (cbar * rho * d2))
-
-    return quad_checked(fun, ta, tb, quad)
+# Carlson's duplication stops once 4^-m Q < A, which bounds the relative
+# truncation of the series below by r; these are his factors
+# (3r)^(-1/6) for R_F and (r/4)^(-1/6) for R_J at r = float eps
+_RF_Q = (3.0 * sys.float_info.epsilon) ** (-1.0 / 6.0)
+_RJ_Q = (0.25 * sys.float_info.epsilon) ** (-1.0 / 6.0)
 
 
-def _upper_piece(p: EinsteinProfile, a: float, b: float,
-                 quad: QuadratureConfig) -> float:
-    # same over [a, b] via tau = alpha2 - t^2, smooth up to tau = alpha2
-    cbar = -p.leading
-    ta, tb = math.sqrt(max(p.alpha2 - b, 0.0)), math.sqrt(max(p.alpha2 - a, 0.0))
+def _carlson_rf_rj(x: float, y: float, z: float, p: float) -> tuple[float, float]:
+    """R_F(x, y, z) and R_J(x, y, z, p) by Carlson's duplication.
 
-    def fun(t):
-        tau = p.alpha2 - t * t
-        xi = tau - 1.0
-        d2 = tau - p.alpha1
-        return math.sqrt(2.0 * tau / (cbar * xi * d2))
+    B. C. Carlson, "Numerical computation of real or complex elliptic
+    integrals", Numer. Algorithms 10 (1995).  All arguments are positive,
+    except that one of x, y, z may be 0, and (p - x)(p - y)(p - z) >= 0, as
+    in both fiber-length forms; then each R_C(1, 1 + r^2) in the sum is
+    atan(r)/r, which keeps its digits as r -> 0 where acos forms do not.
+    Both integrals iterate the same x, y, z, so one loop serves both.
+    """
+    af = a0f = (x + y + z) / 3.0
+    aj = a0j = (x + y + z + 2.0 * p) / 5.0
+    qf = _RF_Q * max(abs(a0f - x), abs(a0f - y), abs(a0f - z))
+    qj = _RJ_Q * max(abs(a0j - x), abs(a0j - y), abs(a0j - z), abs(a0j - p))
+    delta = (p - x) * (p - y) * (p - z)
+    x0, y0, z0 = x, y, z
+    fac, tail = 1.0, 0.0    # fac = 4^-m
+    while fac * qf >= af or fac * qj >= aj:
+        sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
+        lam = sx * sy + sx * sz + sy * sz
+        dm = (sp + sx) * (sp + sy) * (sp + sz)
+        r = math.sqrt(fac ** 3 * delta) / dm
+        tail += fac / dm * (math.atan(r) / r if r > 0.0 else 1.0)
+        fac *= 0.25
+        x, y, z, p = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (p + lam)
+        af, aj = 0.25 * (af + lam), 0.25 * (aj + lam)
+    X, Y = (a0f - x0) * fac / af, (a0f - y0) * fac / af
+    e2, e3 = X * Y - (X + Y) ** 2, -X * Y * (X + Y)
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(af)
+    X, Y, Z = (a0j - x0) * fac / aj, (a0j - y0) * fac / aj, (a0j - z0) * fac / aj
+    P = -0.5 * (X + Y + Z)
+    e2 = X * Y + X * Z + Y * Z - 3.0 * P * P
+    e3 = X * Y * Z + 2.0 * e2 * P + 4.0 * P ** 3
+    e4 = (2.0 * X * Y * Z + e2 * P + 3.0 * P ** 3) * P
+    e5 = X * Y * Z * P * P
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0
+              - 3.0 * e4 / 22.0 - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return rf, fac * series / (aj * math.sqrt(aj)) + 6.0 * tail
 
-    return quad_checked(fun, ta, tb, quad)
+
+# With a = alpha1, d = alpha2, cbar = -leading, P = 2/sqrt(2 cbar d (1 - a))
+# and m = -a (d - 1)/(d (1 - a)), each length below is P times a Legendre
+# form: F(phi|m) = s R_F(c^2, Delta^2, 1) and Pi(n; phi|m) is that plus
+# (n/3) s^3 R_J(c^2, Delta^2, 1, 1 - n s^2), with s = sin phi, c = cos phi
+# and Delta^2 = 1 - m s^2.  Every complement is formed from the roots,
+# never as 1 - x.  At the anchor itself s = 0 and the length is exactly 0.
+
+def _length_from_one(p: EinsteinProfile, t: float) -> float:
+    # length over [1, t], divided by P: Pi(N; phi|m), N = (d - 1)/d, with
+    # sin^2 phi = d (t - 1)/((d - 1) t), so that N sin^2 phi = (t - 1)/t
+    a, d = p.alpha1, p.alpha2
+    rf, rj = _carlson_rf_rj((d - t) / ((d - 1.0) * t), (t - a) / ((1.0 - a) * t),
+                            1.0, 1.0 / t)
+    s = math.sqrt(d * (t - 1.0) / ((d - 1.0) * t))
+    return s * (rf + (t - 1.0) / (3.0 * t) * rj)
 
 
-def fiber_length(p: EinsteinProfile, tau_a: float, tau_b: float,
-                 quad: QuadratureConfig | None = None) -> float:
+def _length_to_alpha2(p: EinsteinProfile, t: float) -> float:
+    # length over [t, alpha2], divided by P: a F(phi|m) + (d - a) Pi(-B; phi|m),
+    # B = (d - 1)/(1 - a), with sin^2 phi = (1 - a)(d - t)/((d - 1)(t - a)),
+    # so that B sin^2 phi = (d - t)/(t - a)
+    a, d = p.alpha1, p.alpha2
+    rf, rj = _carlson_rf_rj((d - a) * (t - 1.0) / ((d - 1.0) * (t - a)),
+                            t * (d - a) / (d * (t - a)), 1.0, (d - a) / (t - a))
+    s = math.sqrt((1.0 - a) * (d - t) / ((d - 1.0) * (t - a)))
+    return s * (d * rf - (d - a) * (d - t) / (3.0 * (t - a)) * rj)
+
+
+def fiber_length(p: EinsteinProfile, tau_a: float, tau_b: float) -> float:
     """Arclength of the fiber segment [tau_a, tau_b]: integral of dtau/sqrt(2 phi).
 
-    Endpoints are allowed; each half of the interval is transformed against
-    its own root so the integrable 1/sqrt singularities disappear.
+    Endpoints are allowed.  The length is the difference of two closed-form
+    lengths anchored at one root, so a piece that starts at a root is taken
+    directly.  The anchor is alpha2 only when the whole segment lies in the
+    upper half of [1, alpha2]: there B sin^2 phi < 1, so the R_J term of the
+    upper form cancels at most half of its R_F term.  Anchored at alpha2
+    from a point near 1, the two would cancel to about 1/sqrt(alpha2).
     """
-    quad = quad or DEFAULT_QUAD
     tol = 16.0 * math.ulp(max(1.0, p.alpha2))
     a, b = float(tau_a), float(tau_b)
     if not (1.0 - tol <= a <= b <= p.alpha2 + tol):
@@ -270,16 +317,13 @@ def fiber_length(p: EinsteinProfile, tau_a: float, tau_b: float,
     b = min(max(b, 1.0), p.alpha2)
     if a == b:
         return 0.0
-    mid = 0.5 * (1.0 + p.alpha2)
-    if b <= mid:
-        return _lower_piece(p, a, b, quad)
-    if a >= mid:
-        return _upper_piece(p, a, b, quad)
-    return _lower_piece(p, a, mid, quad) + _upper_piece(p, mid, b, quad)
+    scale = math.sqrt(2.0 / (-p.leading * p.alpha2 * (1.0 - p.alpha1)))
+    if a >= 0.5 * (1.0 + p.alpha2):
+        return scale * (_length_to_alpha2(p, a) - _length_to_alpha2(p, b))
+    return scale * (_length_from_one(p, b) - _length_from_one(p, a))
 
 
-def cone_angle_probe(p: EinsteinProfile, end: str, tau_probe: float,
-                     quad: QuadratureConfig | None = None) -> float:
+def cone_angle_probe(p: EinsteinProfile, end: str, tau_probe: float) -> float:
     """Geodesic-circle angle estimate 2 pi sqrt(2 phi)/radius near one end.
 
     radius is the fiber arclength from the chosen root to tau_probe and
@@ -288,15 +332,14 @@ def cone_angle_probe(p: EinsteinProfile, end: str, tau_probe: float,
     the probe approaches the root: a purely metric measurement of the cone
     angles, independent of the boundary-slope identities.
     """
-    quad = quad or DEFAULT_QUAD
     tau_probe = float(tau_probe)
     if not 1.0 < tau_probe < p.alpha2:
         raise DomainError(f"probe tau={tau_probe} not interior to (1, {p.alpha2})")
     circumference = 2.0 * math.pi * math.sqrt(2.0 * eval_phi(p, tau_probe))
     if end == "lower":
-        radius = fiber_length(p, 1.0, tau_probe, quad)
+        radius = fiber_length(p, 1.0, tau_probe)
     elif end == "upper":
-        radius = fiber_length(p, tau_probe, p.alpha2, quad)
+        radius = fiber_length(p, tau_probe, p.alpha2)
     else:
         raise DomainError(f"end must be 'lower' or 'upper', got {end!r}")
     return circumference / radius

@@ -1,12 +1,10 @@
 """Checked Gauss-Legendre quadrature for analytic integrands.
 
-Every integral in this package is analytic on its closed interval: the
-fiber lengths reach `quad_checked` only after `geometry` has removed their
-inverse-square-root endpoint singularities by the substitutions
-tau = 1 + t^2 and tau = alpha2 - t^2, and the volumes integrate polynomials.
-On such integrands a Gauss-Legendre rule converges geometrically in its
-order, so `quad_checked` evaluates the rule at the doubling orders
-8, 16, ..., 256 and returns I_2N as soon as
+The integrals left to this module are the fiber and total volumes, whose
+integrands are polynomials in tau; the fiber lengths are closed forms in
+`geometry`.  On analytic integrands a Gauss-Legendre rule converges
+geometrically in its order, so `quad_checked` evaluates the rule at the
+doubling orders 8, 16, ..., 256 and returns I_2N as soon as
 
     |I_2N - I_N| <= max(epsabs, epsrel * |I_2N|).
 

@@ -55,8 +55,8 @@ def test_criterion_02_boundary_data_20_profiles():
             p = hk.make_profile(n, b1)
             assert abs(hk.eval_phi_prime(p, 1.0) - p.beta1) <= 1e-10
             assert abs(hk.eval_phi_prime(p, p.alpha2) + p.beta2) <= 1e-10
-            lo = hk.cone_angle_probe(p, "lower", 1.0 + 1e-6, hk.DEFAULT_QUAD)
-            hi = hk.cone_angle_probe(p, "upper", p.alpha2 - 1e-6, hk.DEFAULT_QUAD)
+            lo = hk.cone_angle_probe(p, "lower", 1.0 + 1e-6)
+            hi = hk.cone_angle_probe(p, "upper", p.alpha2 - 1e-6)
             assert abs(lo - TWO_PI * p.beta1) <= 1e-3 * TWO_PI
             assert abs(hi - TWO_PI * p.beta2) <= 1e-3 * TWO_PI
     assert sw.elapsed < 10.0
@@ -164,14 +164,14 @@ def test_criterion_09_fiber_length_asymptote():
     with Stopwatch() as sw:
         for n in (1, 2, 3):
             p = hk.make_profile(n, 1e-3)
-            L = hk.fiber_length(p, 1.0, p.alpha2, hk.DEFAULT_QUAD)
+            L = hk.fiber_length(p, 1.0, p.alpha2)
             want = hk.fiber_length_asymptote(n)
             assert abs(L - want) <= 0.01 * want
         # rescaled length doubles when beta1 halves
         lengths = {}
         for b1 in (1e-3, 5e-4):
             p = hk.make_profile(1, b1)
-            lengths[b1] = hk.fiber_length(p, 1.0, p.alpha2, hk.DEFAULT_QUAD) / b1
+            lengths[b1] = hk.fiber_length(p, 1.0, p.alpha2) / b1
         ratio = lengths[5e-4] / lengths[1e-3]
         assert abs(ratio - 2.0) <= 0.05
     assert sw.elapsed < 10.0

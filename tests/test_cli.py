@@ -308,6 +308,17 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["fiber", "--n", "2", "--beta1", "0.999999"],
+                                  ["limit", "--n", "3", "--beta1-seq", "0.666666,0.5"]])
+def test_near_degenerate_runs_pass(argv, capsys):
+    # 2 - n*beta1 = 2e-6: fiber lengths are closed forms, so no quadrature
+    # can run out of orders here
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows and not any("error" in r for r in rows)
+    assert all(r.get("status", "pass") == "pass" for r in rows)
+
+
 def test_main_writes_json_to_stdout(capsys):
     assert main(["solve", "--n", "1", "--beta1", "1.0"]) == 0
     doc = json.loads(capsys.readouterr().out)

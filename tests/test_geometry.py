@@ -1,16 +1,21 @@
 import dataclasses
+import json
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from hirzebruch_kee import (ChartPoint, DEFAULT_QUAD, RangeError, build_map,
-                            chart_grid, chart_s, cone_angle_probe,
+                            chart_grid, chart_s, collapse_entry, cone_angle_probe,
                             einstein_residual, eval_phi, fiber_length,
                             fiber_metric_sample, fiber_volume, fs_pullback,
                             make_profile, metric_at, ricci_fd, tau_of_s,
                             total_volume)
+from hirzebruch_kee import geometry
+from hirzebruch_kee.cli import main
 from hirzebruch_kee.cohomology import class_volume, kee_class
 
 TWO_PI = 2.0 * math.pi
@@ -164,30 +169,66 @@ def test_fiber_metric_sample():
 
 def test_fiber_length_small_angle_near_asymptote():
     p = make_profile(2, 0.01)
-    L = fiber_length(p, 1.0, p.alpha2, DEFAULT_QUAD)
+    L = fiber_length(p, 1.0, p.alpha2)
     assert abs(L - math.pi) < 0.02 * math.pi
 
 
 def test_fiber_length_degenerate_and_additive():
     p = make_profile(1, 1.0)
-    assert fiber_length(p, 1.7, 1.7, DEFAULT_QUAD) == 0.0
+    assert fiber_length(p, 1.7, 1.7) == 0.0
     a, b, c = 1.0, 1.9, p.alpha2
-    lab = fiber_length(p, a, b, DEFAULT_QUAD)
-    lbc = fiber_length(p, b, c, DEFAULT_QUAD)
-    lac = fiber_length(p, a, c, DEFAULT_QUAD)
+    lab = fiber_length(p, a, b)
+    lbc = fiber_length(p, b, c)
+    lac = fiber_length(p, a, c)
     assert abs(lab + lbc - lac) < 1e-9
 
 
-def _mp_fiber_lengths(n, b1, w_lo, w_hi):
-    # 30-digit fiber lengths from (n, beta1) alone: the roots come from
-    # Vieta (alpha1 + alpha2 = -alpha1 alpha2 = (1 + n b1)/(2 - n b1)), and
-    # tau = 1 + (alpha2 - 1) sin^2(th) removes both endpoint singularities at
-    # once, a different route from the package's two one-sided substitutions
+@pytest.mark.parametrize("x, y, z, p", [
+    (0.0, 0.5, 1.0, 1.0), (0.25, 0.75, 1.0, 2.0), (0.0, 0.6, 1.0, 1e-6),
+    (3e-4, 0.43, 2e-7, 4.2e6), (1e-12, 1e12, 1.0, 1e12), (2.0, 2.0, 2.0, 2.0)])
+def test_carlson_matches_mpmath(x, y, z, p):
+    # arguments with (p - x)(p - y)(p - z) >= 0, the case both fiber-length
+    # forms produce, spread over 24 decades
+    rf, rj = geometry._carlson_rf_rj(x, y, z, p)
+    with mp.workdps(30):
+        assert abs(rf - mp.elliprf(x, y, z)) <= 2e-15 * mp.elliprf(x, y, z)
+        assert abs(rj - mp.elliprj(x, y, z, p)) <= 2e-15 * mp.elliprj(x, y, z, p)
+
+
+def _vieta_roots(n, b1):
+    # 30-digit alpha1, alpha2 and cbar = -leading from (n, beta1) alone, by
+    # Vieta: alpha1 + alpha2 = -alpha1 alpha2 = (1 + n b1)/(2 - n b1)
     with mp.workdps(30):
         b = mp.mpf(b1)
         S = (1 + n * b) / (2 - n * b)
-        a1, a2 = (S - mp.sqrt(S * S + 4 * S)) / 2, (S + mp.sqrt(S * S + 4 * S)) / 2
-        cbar = (2 / mp.mpf(n) - b) / 3
+        root = mp.sqrt(S * S + 4 * S)
+        return (S - root) / 2, (S + root) / 2, (2 / mp.mpf(n) - b) / 3
+
+
+def _float_roots(p):
+    # the profile's own float roots taken as exact: roots rebuilt from the
+    # decimal beta1 carry the rounding of n*beta1, amplified by x/(2 - x)
+    # as x = n*beta1 -> 2 and by 1/beta1 on the short pieces as beta1 -> 0,
+    # which would swamp a 1e-13 check there
+    return mp.mpf(p.alpha1), mp.mpf(p.alpha2), -mp.mpf(p.leading)
+
+
+def _lengths_and_widths(p):
+    # the package's full length and the two 1e-6 pieces the cone-angle
+    # probes measure, with the exact float widths of those pieces
+    lo_end, hi_start = 1.0 + 1e-6, p.alpha2 - 1e-6
+    got = (fiber_length(p, 1.0, p.alpha2), fiber_length(p, 1.0, lo_end),
+           fiber_length(p, hi_start, p.alpha2))
+    return got, mp.mpf(lo_end) - 1, mp.mpf(p.alpha2) - mp.mpf(hi_start)
+
+
+def _mp_fiber_lengths(roots, w_lo, w_hi):
+    # 30-digit full length and the pieces [1, 1 + w_lo], [alpha2 - w_hi,
+    # alpha2] by quadrature: tau = 1 + (alpha2 - 1) sin^2(th) removes both
+    # endpoint singularities at once, a route independent of the package's
+    # elliptic closed forms
+    with mp.workdps(30):
+        a1, a2, cbar = roots
 
         def F(th):
             tau = 1 + (a2 - 1) * mp.sin(th) ** 2
@@ -200,35 +241,111 @@ def _mp_fiber_lengths(n, b1, w_lo, w_hi):
                 mp.quad(F, [mp.pi / 2 - edge(w_hi), mp.pi / 2]))
 
 
-@pytest.mark.parametrize("n, b1", [(1, 1.0), (1, 0.999), (2, 1e-3), (3, 0.4), (4, 0.4975)])
-def test_fiber_length_matches_mpmath(n, b1):
-    # full length and the two 1e-6 pieces the cone-angle probes measure;
-    # the pieces' widths are the exact float widths the package integrates
-    p = make_profile(n, b1)
-    lo_end, hi_start = 1.0 + 1e-6, p.alpha2 - 1e-6
-    ref = _mp_fiber_lengths(n, b1, mp.mpf(lo_end) - 1, mp.mpf(p.alpha2) - mp.mpf(hi_start))
-    got = (fiber_length(p, 1.0, p.alpha2), fiber_length(p, 1.0, lo_end),
-           fiber_length(p, hi_start, p.alpha2))
+def _mp_elliptic_lengths(roots, w_lo, w_hi):
+    # the same three lengths from mpmath's Legendre ellipf/ellippi at 30
+    # digits; with a = alpha1, d = alpha2, P = 2/sqrt(2 cbar d (1 - a)) and
+    # m = -a (d - 1)/(d (1 - a)), the length over [1, t] is P Pi(N; phi|m),
+    # N = (d - 1)/d, sin^2 phi = d (t - 1)/((d - 1) t), and over [t, d] it is
+    # P [a F(phi|m) + (d - a) Pi(-B; phi|m)], B = (d - 1)/(1 - a),
+    # sin^2 phi = (1 - a)(d - t)/((d - 1)(t - a))
+    with mp.workdps(30):
+        a, d, cbar = roots
+        P = 2 / mp.sqrt(2 * cbar * d * (1 - a))
+        m, N, B = -a * (d - 1) / (d * (1 - a)), (d - 1) / d, (d - 1) / (1 - a)
+        phi_lo = mp.asin(mp.sqrt(d * w_lo / ((d - 1) * (1 + w_lo))))
+        phi_hi = mp.asin(mp.sqrt((1 - a) * w_hi / ((d - 1) * (d - w_hi - a))))
+        return (P * mp.ellippi(N, m), P * mp.ellippi(N, phi_lo, m),
+                P * (a * mp.ellipf(phi_hi, m) + (d - a) * mp.ellippi(-B, phi_hi, m)))
+
+
+def _assert_within(got, ref, rel=1e-13):
     for g, r in zip(got, ref):
-        assert abs(g - r) <= 1e-13 * r
+        assert abs(g - r) <= rel * r, (g, r)
+
+
+_ORACLE_PAIRS = [(1, 1.0), (1, 0.999), (2, 1e-3), (3, 0.4), (4, 0.4975)]
+
+
+@pytest.mark.parametrize("n, b1", [*_ORACLE_PAIRS, (1, 1e-6)])
+def test_fiber_length_matches_mpmath(n, b1):
+    # full length and the two 1e-6 pieces the cone-angle probes measure
+    p = make_profile(n, b1)
+    # at beta1 = 1e-6 the Vieta roots' rounding would swamp the pieces
+    roots = _float_roots(p) if b1 < 1e-3 else _vieta_roots(n, b1)
+    got, w_lo, w_hi = _lengths_and_widths(p)
+    _assert_within(got, _mp_fiber_lengths(roots, w_lo, w_hi))
+
+
+@pytest.mark.parametrize("n, b1", _ORACLE_PAIRS)
+def test_fiber_length_matches_mpmath_elliptic(n, b1):
+    p = make_profile(n, b1)
+    got, w_lo, w_hi = _lengths_and_widths(p)
+    _assert_within(got, _mp_elliptic_lengths(_vieta_roots(n, b1), w_lo, w_hi))
+
+
+@pytest.mark.parametrize("n, b1", [(2, 0.999999), (3, 0.666666)])
+def test_fiber_length_near_degenerate(n, b1):
+    # 2 - n*beta1 <= 2e-6: alpha2 is about 1.5e6 and the length some 4e3
+    p = make_profile(n, b1)
+    got, w_lo, w_hi = _lengths_and_widths(p)
+    _assert_within(got, _mp_fiber_lengths(_float_roots(p), w_lo, w_hi))
+    _assert_within(got, _mp_elliptic_lengths(_float_roots(p), w_lo, w_hi))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(1, 4), u=st.floats(1e-6, 1.0),
+       cuts=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+@example(n=1, u=1e-6, cuts=[0.0, 1e-7, 1.0])               # beta1 -> 0
+@example(n=2, u=1.0 - 1e-6, cuts=[1e-8, 0.5, 1.0])         # n beta1 -> 2
+@example(n=2, u=1.0 - 1e-6, cuts=[0.0, 0.9, 1.0 - 1e-9])
+@example(n=1, u=1.0, cuts=[0.2, 0.5, 0.8])                 # beta1 = 1
+def test_fiber_length_additive_property(n, u, cuts):
+    # u in (0, 1] scales the admissible range: (0, 1] for n = 1, else (0, 2/n)
+    beta1 = u * min(1.0, 2.0 / n)
+    assume(n * beta1 < 2.0)
+    p = make_profile(n, beta1)
+    a, b, c = sorted(1.0 + f * (p.alpha2 - 1.0) for f in cuts)
+    whole = fiber_length(p, 1.0, p.alpha2)
+    defect = fiber_length(p, a, b) + fiber_length(p, b, c) - fiber_length(p, a, c)
+    assert abs(defect) <= 1e-13 * whole, (a, b, c, defect / whole)
+
+
+def test_fiber_lengths_never_reach_quadrature(monkeypatch, capsys):
+    # lengths, probes and the collapse ladder run with quad_checked refusing
+    # every call, so no fiber length has a quadrature path, fallback included
+    def refuse(*args, **kwargs):
+        raise RuntimeError("quad_checked was called")
+
+    monkeypatch.setattr(geometry, "quad_checked", refuse)
+    p = make_profile(2, 0.5)
+    with pytest.raises(RuntimeError):
+        geometry.fiber_volume(p)            # the binding the volumes use
+    assert fiber_length(p, 1.0, p.alpha2) > 0.0
+    assert cone_angle_probe(p, "lower", 1.0 + 1e-6) > 0.0
+    assert cone_angle_probe(p, "upper", p.alpha2 - 1e-6) > 0.0
+    assert collapse_entry(1, 1e-3).fiber_length > 0.0
+    assert main(["limit", "--n", "3", "--beta1-seq", "0.666666,0.5"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 2 and not any("error" in r for r in rows)
 
 
 def test_fiber_length_rejects_bad_interval():
     p = make_profile(1, 1.0)
     with pytest.raises(Exception):
-        fiber_length(p, 0.5, 2.0, DEFAULT_QUAD)
+        fiber_length(p, 0.5, 2.0)
     with pytest.raises(Exception):
-        fiber_length(p, 2.0, 1.5, DEFAULT_QUAD)
+        fiber_length(p, 2.0, 1.5)
 
 
 def test_cone_angle_probes():
     p = make_profile(1, 1.0)
-    lo = cone_angle_probe(p, "lower", 1.0 + 1e-6, DEFAULT_QUAD)
-    hi = cone_angle_probe(p, "upper", p.alpha2 - 1e-6, DEFAULT_QUAD)
+    lo = cone_angle_probe(p, "lower", 1.0 + 1e-6)
+    hi = cone_angle_probe(p, "upper", p.alpha2 - 1e-6)
     assert abs(lo - TWO_PI) < 1e-3 * TWO_PI
     assert abs(hi - TWO_PI * (math.sqrt(3.0) - 1.0)) < 1e-3 * TWO_PI
     p = make_profile(2, 0.5)
-    lo = cone_angle_probe(p, "lower", 1.0 + 1e-6, DEFAULT_QUAD)
+    lo = cone_angle_probe(p, "lower", 1.0 + 1e-6)
     assert abs(lo - math.pi) < 1e-3 * TWO_PI
 
 
@@ -236,7 +353,7 @@ def test_cone_angle_converges_monotonically():
     p = make_profile(1, 0.8)
     defects = []
     for d in (1e-3, 1e-4, 1e-5):
-        ang = cone_angle_probe(p, "lower", 1.0 + d, DEFAULT_QUAD)
+        ang = cone_angle_probe(p, "lower", 1.0 + d)
         defects.append(abs(ang - TWO_PI * p.beta1))
     assert defects[0] > defects[1] > defects[2]
 

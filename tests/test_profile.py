@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hirzebruch_kee import (DomainError, eval_phi, eval_phi_exact,
                             eval_phi_prime, make_profile, ode_residual)
@@ -93,6 +95,30 @@ def test_closed_forms_match_mpmath(n, b1):
     p = make_profile(n, b1)
     for got, want, bound in zip((p.beta2, p.alpha1, p.alpha2), _mp_closed_forms(n, b1), bounds):
         assert abs((mp.mpf(got) - want) / want) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), u=st.floats(1e-6, 1.0))
+@example(n=1, u=1e-6)            # beta1 -> 0
+@example(n=2, u=1.0 - 1e-6)      # n beta1 = 2 (1 - 1e-6)
+@example(n=1, u=1.0)             # beta1 = 1
+def test_roots_and_slopes_property(n, u):
+    # u in (0, 1] scales the admissible range: (0, 1] for n = 1, else (0, 2/n)
+    beta1 = u * min(1.0, 2.0 / n)
+    assume(n * beta1 < 2.0)
+    p = make_profile(n, beta1)
+    assert 0.0 < p.beta2 < p.beta1
+    # against the exact S = (1 + x)/(2 - x) of the binary x = n*beta1; its
+    # rounding is amplified by x/(2 - x) as x -> 2.  alpha1 + alpha2 = S
+    # cancels to 1/2 as beta1 -> 0, so its error scales with |alpha1| + alpha2
+    x = n * Fraction(beta1)
+    S = (1 + x) / (2 - x)
+    scale = sys.float_info.epsilon * (1 + float(x / (2 - x)))
+    a1, a2 = Fraction(p.alpha1), Fraction(p.alpha2)
+    assert abs(a1 + a2 - S) <= 4 * scale * (a2 - a1)
+    assert abs(a1 * a2 + S) <= 4 * scale * S
+    assert abs(eval_phi_prime(p, 1.0) - p.beta1) <= 8 * scale
+    assert abs(eval_phi_prime(p, p.alpha2) + p.beta2) <= 8 * scale
 
 
 def test_domain_rejections():
