@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from hirzebruch_kee import (DEFAULT_QUAD, build_map, eval_phi, fiber_length,
+from hirzebruch_kee import (build_map, eval_phi, fiber_length,
                             fiber_metric_sample, fiber_volume, make_profile,
                             tau_of_s, total_volume)
 
@@ -40,12 +40,12 @@ def main():
     print(f"sum of halves    = {halves!r}   (diff {abs(whole-halves):.2e})")
 
     # fiber area has the closed form 2 pi (alpha2 - 1)
-    area = fiber_volume(p, DEFAULT_QUAD)
+    area = fiber_volume(p)
     print(f"\nfiber area       = {area!r}")
     print(f"2 pi (alpha2-1)  = {2*math.pi*(p.alpha2-1.0)!r}")
 
     # total volume against the cohomological prediction
-    vol = total_volume(p, DEFAULT_QUAD)
+    vol = total_volume(p)
     print(f"\ntotal volume             = {vol!r}")
     print(f"4 pi^2 n (alpha2^2 - 1)  = {4*math.pi**2*n*(p.alpha2**2-1.0)!r}")
 

@@ -10,10 +10,10 @@ divisors.  Everything here is rational until the very last volume check.
 
 import math
 
-from hirzebruch_kee import (DEFAULT_QUAD, canonical_class, class_volume,
-                            fiber_class, infinity_section, intersect,
-                            is_kahler, kee_class, make_profile,
-                            proportionality_check, total_volume, zero_section)
+from hirzebruch_kee import (canonical_class, class_volume, fiber_class,
+                            infinity_section, intersect, is_kahler,
+                            kee_class, make_profile, proportionality_check,
+                            total_volume, zero_section)
 
 
 def main():
@@ -45,7 +45,7 @@ def main():
     print(f"  same check with beta2 off by 1e-3: {wrong:.3e}")
 
     # the analytic volume agrees with the purely cohomological one
-    vol = total_volume(p, DEFAULT_QUAD)
+    vol = total_volume(p)
     coh = (2.0 * math.pi) ** 2 * float(class_volume(c))
     print(f"\n  quadrature volume    = {vol!r}")
     print(f"  (2 pi)^2 . [omega]^2 = {coh!r}")

@@ -20,8 +20,8 @@ from .geometry import (ChartPoint, FiberMetricSample, HermitianForm2,
                        einstein_residual, fiber_length, fiber_metric_sample,
                        fiber_volume, fs_pullback, metric_at, ricci_fd,
                        total_volume)
-from .legendre import (GaugeChoice, TauSMap, build_map, log_slope_at_end,
-                       s_of_tau, tau_of_s, tau_of_y, y_of_tau)
+from .legendre import (TauSMap, build_map, log_slope_at_end, s_of_tau,
+                       tau_of_s, tau_of_y, y_of_tau)
 from .limits import (CollapseEntry, CollapseReport, alpha_series,
                      beta2_series, collapse_entry, collapse_report,
                      fiber_length_asymptote, rescaled_fiber_metric,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BETA1_CONSTRAINT", "ChartPoint", "CollapseEntry", "CollapseReport",
     "ConeAngles", "DEFAULT_QUAD", "DivisorClass", "DomainError",
-    "EinsteinProfile", "FiberMetricSample", "GaugeChoice", "HermitianForm2",
+    "EinsteinProfile", "FiberMetricSample", "HermitianForm2",
     "KeeError", "PositivityError", "QuadratureConfig", "QuadratureError",
     "RangeError", "TauSMap", "UsageError", "alpha_series", "beta2_series",
     "build_map", "canonical_class", "chart_grid", "chart_s", "class_volume",

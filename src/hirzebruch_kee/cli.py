@@ -4,16 +4,17 @@ Subcommands: solve, scan, verify, fiber, classes, limit.  Reports are flat
 key-value rows, emitted as JSON ({"meta": ..., "rows": [...]}) or CSV with a
 header row, every float serialized with 17 significant digits so that
 parsing the report reproduces the computed doubles exactly.  Output is byte
-deterministic: rows are sorted by (n, beta1), key order is fixed, and
-sweeps run serially.  The KEE_THREADS environment variable is still checked
-(a value that is not a positive integer is a usage error) but no longer
-changes execution.  Exit codes: 0 success, 1 a verification residual
-exceeded its threshold (or a numeric error was reported), 2 usage error,
-3 I/O error.
+deterministic: rows are sorted by (n, beta1), key order is fixed, sweeps
+run serially, and no environment variable is read.  Exit codes: 0 success,
+1 a verification residual exceeded its threshold (or a numeric error was
+reported), 2 usage error, 3 I/O error.
 
 The argparse parser is the one declaration of each flag: its name, default
 and validator (a type= callable).  The parsed namespace is the run
-configuration, and the report meta echoes it in parser order.
+configuration, and the report meta echoes it in parser order.  A flag
+exists only where it changes a number: the tau <-> s map covers every
+finite s, and the two volumes use the default quadrature tolerance, because
+their integrands (1 and tau) converge at the rule's lowest orders.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -33,7 +33,6 @@ from .errors import KeeError, UsageError
 from .legendre import build_map, tau_of_s
 from .profile import (EinsteinProfile, _validate_n_beta1,
                       eval_phi, eval_phi_prime, make_profile, ode_residual)
-from .quadrature import QuadratureConfig
 
 ODE_THRESHOLD = 1e-12
 DET_THRESHOLD = 1e-12
@@ -42,10 +41,6 @@ PROPORTIONALITY_THRESHOLD = 1e-12
 VOLUME_MATCH_THRESHOLD = 1e-9
 ANGLE_THRESHOLD = 1e-3          # fraction of the 2 pi beta target
 FIBER_AREA_THRESHOLD = 1e-10    # relative, quadrature vs 2 pi (alpha2 - 1)
-# two converged Gauss-Legendre sums agree only to their rounding, a few ulps
-# of the integral, so a relative target under 50 eps would fail on rounding
-# alone
-MIN_QUAD_TOL = 50.0 * sys.float_info.epsilon
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,18 +48,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_in(lo: float, hi: float = math.inf, lo_closed: bool = False):
-    """Make a type= callable that accepts a finite float in (lo, hi), or [lo, hi) when lo_closed."""
-    span = f"{'[' if lo_closed else '('}{lo:g}, {hi:g})"
-
+def _float_in(lo: float, hi: float = math.inf):
+    """Make a type= callable that accepts a finite float in (lo, hi)."""
     def check(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             value = math.nan
-        above = value >= lo if lo_closed else value > lo
-        if not (math.isfinite(value) and above and value < hi):
-            raise argparse.ArgumentTypeError(f"must be a finite value in {span}, got {text}")
+        if not (math.isfinite(value) and lo < value < hi):
+            raise argparse.ArgumentTypeError(f"must be a finite value in ({lo:g}, {hi:g}), got {text}")
         return value
     return check
 
@@ -107,9 +99,6 @@ def _build_parser() -> _Parser:
             sp.add_argument("--beta1", type=float, required=True)
         return sp
 
-    quad_tol = dict(type=_float_in(MIN_QUAD_TOL, 1.0, lo_closed=True), default=1e-10)
-    s_hull = dict(type=_float_in(1.0, lo_closed=True), default=40.0)
-
     solve = command("solve", "profile data for one (n, beta1)")
     solve.add_argument("--emit-profile", type=_int_at_least(2), default=None, metavar="N",
                        help="append N equispaced (tau, phi, phi') samples")
@@ -125,20 +114,16 @@ def _build_parser() -> _Parser:
     verify.add_argument("--grid", type=_int_at_least(1), default=5,
                         help="G: Einstein residual sweeps a GxGx3 chart grid")
     verify.add_argument("--fd-step", type=_float_in(0.0, 1.0), default=1e-3)
-    verify.add_argument("--s-hull", **s_hull)
 
     fiber = command("fiber", "fiber lengths, cone angle probes, volumes")
-    fiber.add_argument("--quad-tol", **quad_tol)
     # the upper end depends on the profile; cone_angle_probe reports it
     fiber.add_argument("--probe-distance", type=_float_in(0.0), default=1e-6)
 
-    classes = command("classes", "cohomology of the Einstein class")
-    classes.add_argument("--quad-tol", **quad_tol)
+    command("classes", "cohomology of the Einstein class")
 
     limit = command("limit", "small-angle collapse diagnostics", beta1=False)
     limit.add_argument("--beta1-seq", dest="beta1_list", type=_ladder, required=True,
                        metavar="B1,B2,...", help="strictly decreasing beta1 ladder")
-    limit.add_argument("--s-hull", **s_hull)
 
     for sp in sub.choices.values():
         sp.add_argument("--format", dest="output_format", choices=("json", "csv"),
@@ -180,22 +165,6 @@ def parse(argv) -> argparse.Namespace:
     return ns
 
 
-def _check_thread_env() -> None:
-    raw = os.environ.get("KEE_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        ok = int(raw) >= 1
-    except ValueError:
-        ok = False
-    if not ok:
-        raise UsageError(f"KEE_THREADS must be a positive integer, got {raw!r}")
-
-
-def _quad_config(quad_tol: float) -> QuadratureConfig:
-    return QuadratureConfig(epsabs=0.01 * quad_tol, epsrel=quad_tol)
-
-
 def _solve_row(cfg: argparse.Namespace, p: EinsteinProfile, kind: str = "summary",
                tau: float | None = None) -> dict:
     row = {
@@ -232,7 +201,7 @@ def _run_scan(cfg: argparse.Namespace):
 
 def _run_verify(cfg: argparse.Namespace):
     p = make_profile(cfg.n, cfg.beta1)
-    m = build_map(p, s_hull=cfg.s_hull)
+    m = build_map(p)
 
     taus = np.linspace(1.0, p.alpha2, 1002)[1:-1]
     ode_max = float(np.max([abs(ode_residual(p, float(t))) for t in taus]))
@@ -255,7 +224,7 @@ def _run_verify(cfg: argparse.Namespace):
           and einstein_max <= EINSTEIN_THRESHOLD)
     row = {
         "command": cfg.command, "n": p.n, "beta1": p.beta1, "grid": cfg.grid,
-        "fd_step": cfg.fd_step, "s_hull": cfg.s_hull,
+        "fd_step": cfg.fd_step,
         "beta2": p.beta2, "lambda": p.lam,
         "ode_residual_max": ode_max, "ode_threshold": ODE_THRESHOLD,
         "det_defect_max": det_max, "det_threshold": DET_THRESHOLD,
@@ -267,10 +236,9 @@ def _run_verify(cfg: argparse.Namespace):
 
 def _run_fiber(cfg: argparse.Namespace):
     p = make_profile(cfg.n, cfg.beta1)
-    quad = _quad_config(cfg.quad_tol)
     d = cfg.probe_distance
     length_full = geometry.fiber_length(p, 1.0, p.alpha2)
-    vol_quad = geometry.fiber_volume(p, quad)
+    vol_quad = geometry.fiber_volume(p)
     vol_closed = 2.0 * math.pi * (p.alpha2 - 1.0)
     angle_lo = geometry.cone_angle_probe(p, "lower", 1.0 + d)
     angle_hi = geometry.cone_angle_probe(p, "upper", p.alpha2 - d)
@@ -281,7 +249,7 @@ def _run_fiber(cfg: argparse.Namespace):
           and vol_defect <= FIBER_AREA_THRESHOLD)
     row = {
         "command": cfg.command, "n": p.n, "beta1": p.beta1,
-        "quad_tol": cfg.quad_tol, "probe_distance": d,
+        "probe_distance": d,
         "fiber_length_full": length_full,
         "length_asymptote": limits.fiber_length_asymptote(p.n),
         "fiber_volume_quad": vol_quad, "fiber_volume_closed": vol_closed,
@@ -296,10 +264,9 @@ def _run_fiber(cfg: argparse.Namespace):
 
 def _run_classes(cfg: argparse.Namespace):
     p = make_profile(cfg.n, cfg.beta1)
-    quad = _quad_config(cfg.quad_tol)
     kee = cohomology.kee_class(p.n, p.beta1, p.beta2)
     vol = cohomology.class_volume(kee)
-    total = geometry.total_volume(p, quad)
+    total = geometry.total_volume(p)
     vol_rel = abs(total - (2.0 * math.pi) ** 2 * vol) / total
     prop = cohomology.proportionality_check(p.n, p.beta1, p.beta2)
     k = cohomology.canonical_class(p.n)
@@ -328,11 +295,10 @@ def _run_classes(cfg: argparse.Namespace):
 
 
 def _run_limit(cfg: argparse.Namespace):
-    report = limits.collapse_report(cfg.n, cfg.beta1_list, s_hull=cfg.s_hull)
+    report = limits.collapse_report(cfg.n, cfg.beta1_list)
     probe = report.probe
     return [{
         "command": cfg.command, "n": cfg.n, "beta1": e.beta1,
-        "s_hull": cfg.s_hull,
         "probe_z_re": probe.z.real, "probe_z_im": probe.z.imag,
         "probe_w_re": probe.w.real, "probe_w_im": probe.w.imag,
         "beta2": e.beta2, "alpha2": e.alpha2,
@@ -353,14 +319,10 @@ def run(cfg: argparse.Namespace):
     """Execute a parsed namespace; returns (rows, exit_status).
 
     Numeric failures inside a command become a structured error row with
-    exit status 1 rather than a traceback; usage problems (bad KEE_THREADS)
-    still raise UsageError.
+    exit status 1 rather than a traceback.
     """
-    _check_thread_env()  # before doing any work
     try:
         rows, status = _RUNNERS[cfg.command](cfg)
-    except UsageError:
-        raise
     except KeeError as exc:
         return [{"command": cfg.command, "error": f"{type(exc).__name__}: {exc}"}], 1
     rows.sort(key=lambda r: (r.get("n", 0), r.get("beta1", 0.0)))
@@ -458,11 +420,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    try:
-        rows, status = run(cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    rows, status = run(cfg)
     try:
         emit(rows, cfg.output_format, cfg.output_path, meta=_meta(cfg))
     except OSError as exc:

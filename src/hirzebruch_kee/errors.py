@@ -12,8 +12,8 @@ class DomainError(KeeError, ValueError):
 class RangeError(KeeError, ValueError):
     """A query falls outside what a tau <-> s map covers.
 
-    That is the open interval (1, alpha2) in tau, where s is finite, and the
-    arclength hull |s| <= s_hull + 2 the map was built for.
+    The map covers the open interval (1, alpha2) in tau and every finite s;
+    a tau at either end, or an infinite or NaN s, raises this.
     """
 
 
@@ -25,8 +25,9 @@ class PositivityError(KeeError, RuntimeError):
     """A metric evaluation produced a non positive-definite form.
 
     Positivity holds identically on the open surface, so hitting this
-    signals a bug (or a deliberately inconsistent profile), never a
-    legitimate input condition.
+    signals a bug, a deliberately inconsistent profile, or a point so deep
+    in a tail that tau rounds onto a root of phi, where phi = 0: at
+    (n, beta1) = (1, 1.0) and z = 0, s = -41.9 is such a point.
     """
 
 

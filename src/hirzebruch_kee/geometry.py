@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PositivityError, RangeError
+from .errors import DomainError, PositivityError
 from .legendre import TauSMap, tau_of_s
 from .profile import EinsteinProfile, eval_phi
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, quad_checked
+from .quadrature import quad_checked
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,13 @@ def fiber_metric_sample(p: EinsteinProfile, tau: float) -> FiberMetricSample:
 
 
 def metric_at(p: EinsteinProfile, m: TauSMap, pt: ChartPoint) -> HermitianForm2:
-    """Kahler metric at a chart point (RangeError outside the map's hull)."""
+    """Kahler metric at a chart point.
+
+    Every chart point has a finite s, so the map always answers.  Where |s|
+    is so large that tau rounds onto a root, phi is 0, the form is singular
+    and PositivityError is raised: at (n, beta1) = (1, 1.0) and z = 0 that
+    is every s below about -37.7, s = -41.9 among them.
+    """
     s = chart_s(p.n, pt)
     tau = tau_of_s(m, s)
     phi = eval_phi(p, tau)
@@ -148,13 +154,13 @@ def _complex_hessian(p: EinsteinProfile, m: TauSMap, pt: ChartPoint,
 
     c = L()
     dd = {}
-    axes = ("u", "th", "x", "y")
-    for ax in axes:
+    for ax in ("u", "th", "x", "y"):
         plus = L(**{f"d{ax}": h})
         minus = L(**{f"d{ax}": -h})
         dd[ax, ax] = (plus - 2.0 * c + minus) / h ** 2
-    for i, ax in enumerate(axes):
-        for bx in axes[i + 1:]:
+    # only the pairs mixing the fiber (u, th) with the base (x, y) enter L_Wzbar
+    for ax in ("u", "th"):
+        for bx in ("x", "y"):
             pp = L(**{f"d{ax}": h, f"d{bx}": h})
             pm = L(**{f"d{ax}": h, f"d{bx}": -h})
             mp = L(**{f"d{ax}": -h, f"d{bx}": h})
@@ -211,16 +217,15 @@ def einstein_residual(p: EinsteinProfile, m: TauSMap, grid: list[ChartPoint],
     """max over the grid of || ricci_fd - lam * g ||_max (entrywise).
 
     A NaN residual anywhere makes the result NaN, so it can never pass a
-    threshold comparison.
+    threshold comparison, and an empty grid is a DomainError rather than a
+    vacuous pass.
     """
-    residuals = [0.0]
+    if not grid:
+        raise DomainError("einstein_residual needs at least one grid point")
+    residuals = []
     for pt in grid:
-        try:
-            g = metric_at(p, m, pt)
-            ric = ricci_fd(p, m, pt, step=step)
-        except RangeError as exc:
-            raise RangeError(f"grid point z={pt.z}, w={pt.w} left the hull: {exc}") from exc
-        residuals.append(ric.max_abs_diff(g.scaled(p.lam)))
+        g = metric_at(p, m, pt)
+        residuals.append(ricci_fd(p, m, pt, step=step).max_abs_diff(g.scaled(p.lam)))
     return float(np.max(residuals))
 
 
@@ -345,23 +350,21 @@ def cone_angle_probe(p: EinsteinProfile, end: str, tau_probe: float) -> float:
     return circumference / radius
 
 
-def fiber_volume(p: EinsteinProfile, quad: QuadratureConfig | None = None) -> float:
+def fiber_volume(p: EinsteinProfile) -> float:
     """Area of one fiber by quadrature of its area form.
 
     The area density sqrt(radial * angular) is identically 1 in (tau, theta),
     so the result equals 2 pi (alpha2 - 1); the quadrature still assembles it
     from the metric coefficients as a consistency route.
     """
-    quad = quad or DEFAULT_QUAD
-
     def density(tau):
         s = fiber_metric_sample(p, tau)
         return math.sqrt(s.radial_coeff * s.angular_coeff)
 
-    return 2.0 * math.pi * quad_checked(density, 1.0, p.alpha2, quad)
+    return 2.0 * math.pi * quad_checked(density, 1.0, p.alpha2)
 
 
-def total_volume(p: EinsteinProfile, quad: QuadratureConfig | None = None) -> float:
+def total_volume(p: EinsteinProfile) -> float:
     """Total volume of the surface: 2 n (2 pi)^2 integral of tau dtau.
 
     The mixed volume density is 2 n tau phi against the product of the base
@@ -371,6 +374,5 @@ def total_volume(p: EinsteinProfile, quad: QuadratureConfig | None = None) -> fl
     self-intersection of the Kahler class, the single place the 2 pi class
     normalization enters this package.
     """
-    quad = quad or DEFAULT_QUAD
-    moment = quad_checked(lambda tau: tau, 1.0, p.alpha2, quad)
+    moment = quad_checked(lambda tau: tau, 1.0, p.alpha2)
     return 2.0 * p.n * (2.0 * math.pi) ** 2 * moment

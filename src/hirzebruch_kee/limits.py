@@ -125,10 +125,9 @@ class CollapseReport:
     entries: tuple[CollapseEntry, ...]
 
 
-def collapse_entry(n: int, beta1: float, probe: ChartPoint = _DEFAULT_PROBE,
-                   s_hull: float = 40.0) -> CollapseEntry:
+def collapse_entry(n: int, beta1: float, probe: ChartPoint = _DEFAULT_PROBE) -> CollapseEntry:
     p = make_profile(n, beta1)
-    m = build_map(p, s_hull=s_hull)
+    m = build_map(p)
     full = fiber_length(p, 1.0, p.alpha2)
     cy, cth = rescaled_fiber_metric(n, beta1, 0.0)
     return CollapseEntry(
@@ -143,13 +142,12 @@ def collapse_entry(n: int, beta1: float, probe: ChartPoint = _DEFAULT_PROBE,
     )
 
 
-def collapse_report(n: int, beta1_list, probe: ChartPoint = _DEFAULT_PROBE,
-                    s_hull: float = 40.0) -> CollapseReport:
+def collapse_report(n: int, beta1_list, probe: ChartPoint = _DEFAULT_PROBE) -> CollapseReport:
     """Diagnostics along a strictly decreasing ladder of beta1 values."""
     values = [float(b) for b in beta1_list]
     if not values:
         raise DomainError("beta1_list must be non-empty")
     if any(b2 >= b1 for b1, b2 in zip(values, values[1:])):
         raise DomainError(f"beta1_list must decrease strictly, got {values}")
-    entries = tuple(collapse_entry(n, b, probe=probe, s_hull=s_hull) for b in values)
+    entries = tuple(collapse_entry(n, b, probe=probe) for b in values)
     return CollapseReport(n=n, probe=probe, entries=entries)

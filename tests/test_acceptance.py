@@ -104,7 +104,7 @@ def test_criterion_05_class_identities():
             assert hk.proportionality_check(n, p.beta1, p.beta2) <= 1e-12
             kee = hk.kee_class(n, p.beta1, p.beta2)
             vol = (TWO_PI ** 2) * float(hk.class_volume(kee))
-            tot = hk.total_volume(p, hk.DEFAULT_QUAD)
+            tot = hk.total_volume(p)
             assert abs(vol - tot) <= 1e-9 * tot
             upper = (2.0 + n * p.beta2) / (2.0 - n * p.beta1)
             assert abs(p.alpha2 - upper) <= 1e-12
@@ -115,7 +115,7 @@ def test_criterion_06_fiber_volume_closed_form():
     with Stopwatch() as sw:
         for n, b1 in sampled_pairs(count=10, seed=6):
             p = hk.make_profile(n, b1)
-            v = hk.fiber_volume(p, hk.DEFAULT_QUAD)
+            v = hk.fiber_volume(p)
             assert abs(v - TWO_PI * (p.alpha2 - 1.0)) <= 1e-10
     assert sw.elapsed < 5.0
 

@@ -23,13 +23,10 @@ def test_parse_solve_defaults():
     assert cfg.n == 1 and cfg.beta1 == 1.0 and cfg.emit_profile is None
     assert cfg.output_format == "json" and cfg.output_path is None
     # each default lives on the subcommand that reads it, and only there
-    assert not any(hasattr(cfg, k) for k in ("fd_step", "quad_tol", "s_hull"))
+    assert not any(hasattr(cfg, k) for k in ("fd_step", "probe_distance"))
     verify = parse(_argv("verify"))
-    assert verify.grid == 5 and verify.fd_step == 1e-3 and verify.s_hull == 40.0
-    fiber = parse(_argv("fiber"))
-    assert fiber.quad_tol == 1e-10 and fiber.probe_distance == 1e-6
-    assert parse(_argv("classes")).quad_tol == 1e-10
-    assert parse(_argv("limit")).s_hull == 40.0
+    assert verify.grid == 5 and verify.fd_step == 1e-3
+    assert parse(_argv("fiber")).probe_distance == 1e-6
     assert parse(_argv("scan")).log_grid is True
 
 
@@ -71,6 +68,8 @@ def test_parse_misuse_cases():
             parse(argv)
 
 
+# --quad-tol and --s-hull no longer exist, so any value of them stays a
+# usage error that names the flag
 _BAD_FLAGS = [
     (cmd, flag, value)
     for cmd in ("fiber", "classes")
@@ -110,13 +109,25 @@ def test_numeric_flag_rejected(cmd, flag, value, capsys):
 
 
 @pytest.mark.parametrize("cmd, flag, value", [
-    ("fiber", "--quad-tol", "1e-8"), ("classes", "--quad-tol", "2e-14"),
-    ("verify", "--fd-step", "2e-3"), ("verify", "--s-hull", "1"),
-    ("limit", "--s-hull", "60"), ("fiber", "--probe-distance", "1e-5"),
+    ("verify", "--fd-step", "2e-3"), ("fiber", "--probe-distance", "1e-5"),
 ])
 def test_numeric_flag_accepted(cmd, flag, value):
     cfg = parse(_argv(cmd, flag, value))
     assert getattr(cfg, flag[2:].replace("-", "_")) == float(value)
+
+
+@pytest.mark.parametrize("flag, value", [("--s-hull", "40"), ("--quad-tol", "1e-10")])
+@pytest.mark.parametrize("cmd", ["solve", "scan", "verify", "fiber", "classes", "limit"])
+def test_retired_flag_is_usage_error(cmd, flag, value, capsys):
+    # the map covers every finite s and the volumes converge at the rule's
+    # lowest orders, so neither setting changed a number; a script that
+    # still passes one is told so rather than silently ignored
+    argv = _argv(cmd, flag, value)
+    with pytest.raises(UsageError) as err:
+        parse(argv)
+    assert flag in str(err.value)
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_verify_has_no_quad_tol():
@@ -148,11 +159,10 @@ _META_KEYS = {
     "solve": (["--beta1", "0.5"], ["n", "beta1", "emit_profile"]),
     "scan": (["--beta1-min", "0.1", "--beta1-max", "0.2", "--count", "2"],
              ["n", "beta1_min", "beta1_max", "count", "log_grid"]),
-    "verify": (["--beta1", "0.5", "--grid", "1"],
-               ["n", "beta1", "grid", "fd_step", "s_hull"]),
-    "fiber": (["--beta1", "0.5"], ["n", "beta1", "quad_tol", "probe_distance"]),
-    "classes": (["--beta1", "0.5"], ["n", "beta1", "quad_tol"]),
-    "limit": (["--beta1-seq", "0.2,0.1"], ["n", "beta1_list", "s_hull"]),
+    "verify": (["--beta1", "0.5", "--grid", "1"], ["n", "beta1", "grid", "fd_step"]),
+    "fiber": (["--beta1", "0.5"], ["n", "beta1", "probe_distance"]),
+    "classes": (["--beta1", "0.5"], ["n", "beta1"]),
+    "limit": (["--beta1-seq", "0.2,0.1"], ["n", "beta1_list"]),
 }
 
 
@@ -172,7 +182,7 @@ def test_fiber_volume_gate_fails_on_small_defect(monkeypatch, capsys):
 
     true_volume = geometry.fiber_volume
     monkeypatch.setattr(geometry, "fiber_volume",
-                        lambda p, quad=None: true_volume(p, quad) * (1.0 + 1e-8))
+                        lambda p: true_volume(p) * (1.0 + 1e-8))
     argv = ["fiber", "--n", "1", "--beta1", "0.5"]
     rows, status = run(parse(argv))
     assert status == 1 and rows[0]["status"] == "fail"
@@ -326,14 +336,16 @@ def test_main_writes_json_to_stdout(capsys):
     assert abs(doc["rows"][0]["beta2"] - (math.sqrt(3.0) - 1.0)) < 1e-12
 
 
-def test_bad_thread_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("KEE_THREADS", "zero")
-    assert main(["scan", "--n", "1", "--beta1-min", "0.1",
-                 "--beta1-max", "0.2", "--count", "2"]) == 2
-    monkeypatch.setenv("KEE_THREADS", "-3")
-    assert main(["scan", "--n", "1", "--beta1-min", "0.1",
-                 "--beta1-max", "0.2", "--count", "2"]) == 2
-    capsys.readouterr()
+def test_thread_env_is_ignored(monkeypatch, capsys):
+    # sweeps are serial and nothing reads KEE_THREADS, whatever its value
+    argv = ["scan", "--n", "1", "--beta1-min", "0.1", "--beta1-max", "0.2", "--count", "2"]
+    monkeypatch.delenv("KEE_THREADS", raising=False)
+    assert main(argv) == 0
+    clean = capsys.readouterr()
+    for value in ("zero", "-3"):
+        monkeypatch.setenv("KEE_THREADS", value)
+        assert main(argv) == 0
+        assert capsys.readouterr() == clean
 
 
 def test_threaded_sweep_matches_serial(monkeypatch):

@@ -13,7 +13,6 @@ _ROOT = Path(__file__).resolve().parent.parent
 def test_demo_runs_cleanly(demo, tmp_path):
     # each narrative script runs as a user would run it, from another directory
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-    env.pop("KEE_THREADS", None)
     out = subprocess.run([sys.executable, str(_ROOT / "demos" / f"{demo}.py")], cwd=tmp_path,
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

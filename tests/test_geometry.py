@@ -1,6 +1,8 @@
+import cmath
 import dataclasses
 import json
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from hirzebruch_kee import (ChartPoint, DEFAULT_QUAD, RangeError, build_map,
+from hirzebruch_kee import (ChartPoint, DomainError, PositivityError, build_map,
                             chart_grid, chart_s, collapse_entry, cone_angle_probe,
                             einstein_residual, eval_phi, fiber_length,
                             fiber_metric_sample, fiber_volume, fs_pullback,
@@ -85,6 +87,45 @@ def test_positive_definite_on_grid():
         assert g.min_eigenvalue() > 0.0
 
 
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(1, 5), u=st.floats(1e-6, 1.0), s=st.floats(-5.0, 5.0),
+       zabs=st.floats(0.0, 3.0), zarg=st.floats(-math.pi, math.pi),
+       warg=st.floats(-math.pi, math.pi))
+@example(n=1, u=1e-6, s=-5.0, zabs=3.0, zarg=0.3, warg=0.0)        # beta1 -> 0
+@example(n=1, u=1.0, s=5.0, zabs=3.0, zarg=-1.0, warg=2.0)         # beta1 = 1
+@example(n=2, u=1.0, s=5.0, zabs=3.0, zarg=2.0, warg=-1.0)         # n beta1 -> 2
+@example(n=5, u=1.0, s=-5.0, zabs=0.0, zarg=0.0, warg=0.5)         # n beta1 -> 2
+def test_metric_positive_with_det_identity_property(n, u, s, zabs, zarg, warg):
+    # u in (0, 1] scales the admissible range: (0, 1] for n = 1, else (0, 2/n)
+    beta1 = u if n == 1 else u * (2.0 / n) * (1.0 - 1e-12)
+    p = make_profile(n, beta1)
+    m = build_map(p)
+    z = cmath.rect(zabs, zarg)
+    w = cmath.rect(math.exp(0.5 * (s - n * math.log1p(zabs ** 2))), warg)
+    pt = ChartPoint(z=z, w=w)
+    g = metric_at(p, m, pt)
+    assert g.g_ww > 0.0 and g.det() > 0.0 and g.min_eigenvalue() > 0.0
+    tau = tau_of_s(m, chart_s(n, pt))
+    phi = eval_phi(p, tau)
+    want = n * tau * phi
+    got = g.det() * abs(w) ** 2 * (1.0 + zabs ** 2) ** 2
+    # det = g_ww g_zz - |g_wz|^2 cancels g_ww g_zz down to n tau phi, a
+    # factor 1 + n phi |z|^2/tau; past that, a few eps (4.2 eps at worst
+    # over 20,000 random draws)
+    cancel = 1.0 + n * phi * zabs ** 2 / tau
+    assert abs(got - want) <= 8.0 * sys.float_info.epsilon * cancel * want
+
+
+def test_positivity_error_where_tau_rounds_onto_root():
+    # at (1, 1.0), s = -41.9 puts tau - 1 below the spacing of doubles at 1
+    p, m = rigid()
+    pt = ChartPoint(z=0.0 + 0.0j, w=complex(math.exp(-0.5 * 41.9)))
+    assert tau_of_s(m, chart_s(p.n, pt)) == 1.0
+    with pytest.raises(PositivityError):
+        metric_at(p, m, pt)
+
+
 def test_rotation_invariance_extracts_same_profile_inputs():
     # points sharing s must see the same (tau, phi) regardless of how the
     # norm is split between |w| and |z| or where the phases sit
@@ -150,13 +191,24 @@ def test_einstein_residual_grid_and_detector():
     assert bad >= 1e-3
 
 
-def test_einstein_residual_names_offending_point():
-    p = make_profile(1, 0.5)
-    m = build_map(p, s_hull=2.0)
-    far = ChartPoint(z=0.1 + 0.0j, w=200.0 + 0.0j)   # s ~ 10.6, outside hull
-    with pytest.raises(RangeError) as err:
-        einstein_residual(p, m, [far], step=1e-3)
-    assert "z=" in str(err.value) and "w=" in str(err.value)
+def test_einstein_residual_rejects_empty_grid():
+    # a maximum over no points is no evidence, so it must not pass the gate
+    p, m = rigid()
+    assert chart_grid(p, 0, 0) == []
+    with pytest.raises(DomainError):
+        einstein_residual(p, m, chart_grid(p, 0, 0))
+
+
+def test_ricci_fd_stencil_size(monkeypatch):
+    # two step sizes of 25 log-det points each: the centre, two per axis and
+    # four for each of the (u, th) x (x, y) pairs that L_Wzbar reads
+    calls = []
+    true_metric = geometry.metric_at
+    monkeypatch.setattr(geometry, "metric_at",
+                        lambda *args: calls.append(args) or true_metric(*args))
+    p, m = rigid()
+    ricci_fd(p, m, ChartPoint(z=0.3 + 0.1j, w=0.7 + 0.0j))
+    assert len(calls) == 50
 
 
 def test_fiber_metric_sample():
@@ -360,18 +412,18 @@ def test_cone_angle_converges_monotonically():
 
 def test_fiber_volume_values():
     p = make_profile(1, 1.0)
-    v = fiber_volume(p, DEFAULT_QUAD)
+    v = fiber_volume(p)
     assert abs(v - TWO_PI * math.sqrt(3.0)) < 1e-10
     assert abs(v - TWO_PI * (p.alpha2 - 1.0)) < 1e-10
     p = make_profile(2, 1e-3)
-    v = fiber_volume(p, DEFAULT_QUAD)
+    v = fiber_volume(p)
     assert abs(v - TWO_PI * p.n * p.beta1) < 0.01 * TWO_PI * p.n * p.beta1
     assert v > 0.0
 
 
 def test_total_volume_rigid():
     p = make_profile(1, 1.0)
-    v = total_volume(p, DEFAULT_QUAD)
+    v = total_volume(p)
     want = 4.0 * math.pi ** 2 * (3.0 + 2.0 * math.sqrt(3.0))
     assert abs(v - want) < 1e-9 * want
 
@@ -379,7 +431,7 @@ def test_total_volume_rigid():
 def test_total_volume_matches_intersection_form():
     for n, b1 in [(1, 1.0), (2, 0.4), (3, 0.5)]:
         p = make_profile(n, b1)
-        v = total_volume(p, DEFAULT_QUAD)
+        v = total_volume(p)
         cls = (TWO_PI ** 2) * float(class_volume(kee_class(n, p.beta1, p.beta2)))
         assert abs(v - cls) < 1e-9 * v
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -6,17 +7,19 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hirzebruch_kee import (DomainError, GaugeChoice, RangeError, build_map,
-                            eval_phi, log_slope_at_end, make_profile, s_of_tau,
+from hirzebruch_kee import (DomainError, RangeError, build_map, eval_phi,
+                            log_slope_at_end, make_profile, s_of_tau,
                             tau_of_s, tau_of_y, y_of_tau)
-from hirzebruch_kee.legendre import _q_of_s, _s_at_q
+from hirzebruch_kee import legendre
+from hirzebruch_kee.legendre import _c_term, _q_of_s, _s_at_q
+
+EPS = sys.float_info.epsilon
 
 
 def test_build_basic():
     p = make_profile(1, 0.5)
     m = build_map(p)
-    assert m.s_min == -42.0 and m.s_max == 42.0     # exactly |s| <= s_hull + 2
-    assert m.s_hull == 40.0 and m.tau0 == 0.5 * (1.0 + p.alpha2)
+    assert m.tau0 == 0.5 * (1.0 + p.alpha2)
     # A = 1/beta1 and B = 1/beta2, read off the roots rather than the angles
     assert m.a == pytest.approx(1.0 / p.beta1, rel=1e-14)
     assert m.b == pytest.approx(1.0 / p.beta2, rel=1e-14)
@@ -39,7 +42,7 @@ def _mp_s_increment(p, tau_a, tau_b):
                                    (1, 0.0125), (2, 1e-3)])
 def test_closed_form_matches_mpmath_quadrature(n, b1):
     p = make_profile(n, b1)
-    m = build_map(p, s_hull=1e4)        # small angles put |s| in the thousands
+    m = build_map(p)                    # small angles put |s| in the thousands
     span = p.alpha2 - 1.0
     for u in (1e-4, 0.05, 0.3, 0.7, 0.95, 1.0 - 1e-4):
         tau = 1.0 + u * span
@@ -93,51 +96,28 @@ def test_s_increment_against_independent_quadrature():
 
 
 def test_gauge_point_maps_to_zero():
+    # the gauge point is the midpoint of [1, alpha2]
     p = make_profile(1, 0.8)
-    m = build_map(p, gauge=GaugeChoice(tau0=1.3))
-    assert abs(tau_of_s(m, 0.0) - 1.3) < 1e-12
+    m = build_map(p)
+    assert abs(tau_of_s(m, 0.0) - m.tau0) < 1e-12
+    assert abs(s_of_tau(m, m.tau0)) < 1e-12
 
 
 def test_fd_derivative_is_phi():
     # dtau/ds = phi, checked by central differences at the gauge point
-    from hirzebruch_kee import eval_phi
     p = make_profile(1, 0.8)
-    m = build_map(p, gauge=GaugeChoice(tau0=1.4))
+    m = build_map(p)
     h = 1e-5
     fd = (tau_of_s(m, h) - tau_of_s(m, -h)) / (2.0 * h)
-    assert abs(fd - eval_phi(p, 1.4)) < 1e-6
-
-
-def test_gauge_shifts_s_by_constant():
-    p = make_profile(1, 0.7)
-    m0 = build_map(p)
-    m1 = build_map(p, gauge=GaugeChoice(tau0=1.2))
-    offsets = [s_of_tau(m0, t) - s_of_tau(m1, t) for t in (1.1, 1.4, 1.9)]
-    assert max(offsets) - min(offsets) < 1e-11
-    # the gauge point sits at s = 0
-    assert abs(s_of_tau(m1, 1.2)) < 1e-12
-
-
-def test_hull_range_errors():
-    p = make_profile(1, 0.5)
-    m = build_map(p, s_hull=10.0)
-    with pytest.raises(RangeError):
-        tau_of_s(m, m.s_max + 1.0)
-    with pytest.raises(RangeError):
-        tau_of_s(m, m.s_min - 1.0)
-    with pytest.raises(RangeError):
-        s_of_tau(m, 1.0)          # endpoint maps to s = -infinity
-    with pytest.raises(RangeError):
-        s_of_tau(m, p.alpha2)
+    assert abs(fd - eval_phi(p, m.tau0)) < 1e-6
 
 
 def test_s_of_tau_outside_interval():
     p = make_profile(1, 0.5)
     m = build_map(p)
-    with pytest.raises((DomainError, RangeError)):
-        s_of_tau(m, 0.5)
-    with pytest.raises((DomainError, RangeError)):
-        s_of_tau(m, p.alpha2 + 0.5)
+    for tau in (0.5, 1.0, p.alpha2, p.alpha2 + 0.5):   # s = -inf, +inf at the ends
+        with pytest.raises(RangeError):
+            s_of_tau(m, tau)
 
 
 def test_log_slopes_recover_angles():
@@ -184,7 +164,7 @@ def test_deep_hull_all_angles():
     # near beta1 = 1 the profile hits the representability wall in tau;
     # queries at |s| = 40 must still resolve
     p = make_profile(1, 0.999)
-    m = build_map(p, s_hull=40.0)
+    m = build_map(p)
     t_lo = tau_of_s(m, -40.0)
     t_hi = tau_of_s(m, 40.0)
     assert 1.0 <= t_lo < 1.0 + 1e-12
@@ -192,18 +172,32 @@ def test_deep_hull_all_angles():
     assert abs(log_slope_at_end(m, "lower", -39.0) - p.beta1) < 1e-7
 
 
-@pytest.mark.parametrize("edge", [-1.0, 1.0])
-def test_round_trip_at_hull_edges(edge):
-    # at beta1 near 1 tau saturates at both edges, so the round trip runs in
-    # the stretched coordinate q, where the map is exact at every depth
-    p = make_profile(1, 0.999)
+_WHOLE_LINE_PAIRS = [(1, 1.0), (1, 0.999), (2, 1e-3), (1, 1e-6), (3, 0.4),
+                     (4, 0.4975), (2, 1.0 - 1e-10), (3, 1e-8)]
+
+
+@pytest.mark.parametrize("n, b1", _WHOLE_LINE_PAIRS)
+def test_tau_of_s_on_whole_finite_line(n, b1, monkeypatch):
+    # the map covers every finite s: at s = +-10^k up to 1e305 the solve in
+    # q must reproduce s to the rounding of the terms s(q) sums, which is
+    # about |s| once |s| >= 10, in at most 5 Newton steps, while tau stays
+    # in [1, alpha2] (it saturates at a root, which q does not)
+    steps = []
+    dsdq = legendre._dsdq
+    monkeypatch.setattr(legendre, "_dsdq", lambda p, q: steps.append(q) or dsdq(p, q))
+    p = make_profile(n, b1)
     m = build_map(p)
-    s = edge * (m.s_hull + 2.0)
-    q = _q_of_s(m, s)
-    assert abs(_s_at_q(m, q) - s) <= 1e-14 * abs(s)
-    assert 1.0 <= tau_of_s(m, s) <= p.alpha2
-    with pytest.raises(RangeError):
-        tau_of_s(m, math.nextafter(s, 2.0 * s))
+    for k in range(306):
+        for s in (10.0 ** k, -(10.0 ** k)):
+            steps.clear()
+            q = _q_of_s(m, s)
+            assert len(steps) <= 5, (s, len(steps))
+            terms = abs(m.a * (q - m.q0)) + m.c * (abs(_c_term(p, q)) + abs(m.c0))
+            assert abs(_s_at_q(m, q) - s) <= 4.0 * EPS * terms, (s, q)
+            assert 1.0 <= tau_of_s(m, s) <= p.alpha2
+    for s in (math.inf, -math.inf, math.nan):
+        with pytest.raises(RangeError):
+            tau_of_s(m, s)
 
 
 def _valid_beta1(n, u):
@@ -221,7 +215,7 @@ def _valid_beta1(n, u):
 @example(n=4, u=1.0 - 1e-9, fractions=[0.001, 0.5, 0.999])    # n beta1 -> 2
 def test_round_trip_and_monotone_property(n, u, fractions):
     p = make_profile(n, _valid_beta1(n, u))
-    m = build_map(p, s_hull=1e9)
+    m = build_map(p)
     span = p.alpha2 - 1.0
     # distinct by at least 1e-6 of the interval, far above rounding in s
     taus = sorted({1.0 + round(f, 6) * span for f in fractions})
@@ -251,19 +245,3 @@ def test_y_domain_checks():
         y_of_tau(p, 0.9)
     with pytest.raises(DomainError):
         tau_of_y(p, -1.0 / p.beta1 - 1e-6)
-
-
-def test_build_rejects_bad_hull():
-    p = make_profile(1, 0.5)
-    with pytest.raises(DomainError):
-        build_map(p, s_hull=0.5)
-    with pytest.raises(DomainError):
-        build_map(p, s_hull=float("nan"))
-
-
-def test_build_rejects_gauge_outside():
-    p = make_profile(1, 0.5)
-    with pytest.raises(DomainError):
-        build_map(p, gauge=GaugeChoice(tau0=1.0))
-    with pytest.raises(DomainError):
-        build_map(p, gauge=GaugeChoice(tau0=p.alpha2 + 0.1))

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hirzebruch_kee import (ChartPoint, DomainError, alpha_series,
                             beta2_series, build_map, collapse_entry,
@@ -71,6 +74,32 @@ def test_beta2_remainder_ratio_bounded():
             rem = abs(make_profile(n, float(b1)).beta2 - beta2_series(n, float(b1), order=2))
             ratios.append(rem / b1 ** 3)
         assert max(ratios) < 2.0
+
+
+# Measured sup of |remainder|/(n beta1)^3 over n = 1..5 and n beta1 in
+# [1e-3, 1] (20,000 geometric points): beta2 0.1110 (-> 1/(9n)), alpha1
+# 0.0347, alpha2 0.3987 (at n beta1 = 1; alpha2 has a pole at n beta1 = 2,
+# so the small-angle bound stops at n beta1 = 1).  As C beta1^3 the constant
+# is C = c n^3 with c below.
+_SERIES_C = {"beta2": 0.12, "alpha1": 0.04, "alpha2": 0.41}
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 5), x=st.floats(1e-12, 1.0))
+@example(n=1, x=1e-12)         # beta1 -> 0, where only rounding is left
+@example(n=1, x=1.0)           # beta1 = 1
+@example(n=2, x=1.0)           # the largest n beta1 the bound covers
+@example(n=5, x=1.0)
+def test_series_remainders_cubic_property(n, x):
+    beta1 = x / n
+    p = make_profile(n, beta1)
+    for name, exact, series in [
+            ("beta2", p.beta2, beta2_series(n, beta1, order=2)),
+            ("alpha1", p.alpha1, alpha_series(n, beta1, "alpha1")),
+            ("alpha2", p.alpha2, alpha_series(n, beta1, "alpha2"))]:
+        bound = _SERIES_C[name] * n ** 3 * beta1 ** 3
+        # the exact roots carry their own rounding, 2 eps of |exact| at most
+        assert abs(exact - series) <= bound + 4.0 * sys.float_info.epsilon * abs(exact), name
 
 
 def test_rescaled_profile_values():
