@@ -200,6 +200,22 @@ def test_tau_of_s_on_whole_finite_line(n, b1, monkeypatch):
             tau_of_s(m, s)
 
 
+@pytest.mark.parametrize("edge", [-1.0, 1.0])
+def test_round_trip_at_hull_edges(edge):
+    # at beta1 near 1 tau saturates at both edges of the old |s| <= 42 hull,
+    # so the round trip runs in the stretched coordinate q, where the map is
+    # exact at every depth; one step past the edge the map carries on
+    p = make_profile(1, 0.999)
+    m = build_map(p)
+    s = edge * 42.0
+    q = _q_of_s(m, s)
+    assert abs(_s_at_q(m, q) - s) <= 1e-14 * abs(s)
+    assert 1.0 <= tau_of_s(m, s) <= p.alpha2
+    beyond = math.nextafter(s, 2.0 * s)
+    assert edge * (_q_of_s(m, beyond) - q) > 0.0
+    assert 1.0 <= tau_of_s(m, beyond) <= p.alpha2
+
+
 def _valid_beta1(n, u):
     # u in (0, 1] scales the admissible range: (0, 1] for n = 1, else (0, 2/n)
     return u if n == 1 else u * (2.0 / n) * (1.0 - 1e-12)
