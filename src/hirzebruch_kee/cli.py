@@ -26,9 +26,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import cohomology, geometry, limits
+from ._floats import geomspace, linspace, max_keep_nan
 from .errors import KeeError, UsageError
 from .legendre import build_map, tau_of_s
 from .profile import (EinsteinProfile, _validate_n_beta1,
@@ -184,18 +183,14 @@ def _run_solve(cfg: argparse.Namespace):
     p = make_profile(cfg.n, cfg.beta1)
     rows = [_solve_row(cfg, p)]
     if cfg.emit_profile:
-        for tau in np.linspace(1.0, p.alpha2, cfg.emit_profile):
-            rows.append(_solve_row(cfg, p, kind="profile", tau=float(tau)))
+        for tau in linspace(1.0, p.alpha2, cfg.emit_profile):
+            rows.append(_solve_row(cfg, p, kind="profile", tau=tau))
     return rows, 0
 
 
 def _run_scan(cfg: argparse.Namespace):
-    if cfg.count == 1:
-        grid = [cfg.beta1_min]
-    elif cfg.log_grid:
-        grid = [float(b) for b in np.geomspace(cfg.beta1_min, cfg.beta1_max, cfg.count)]
-    else:
-        grid = [float(b) for b in np.linspace(cfg.beta1_min, cfg.beta1_max, cfg.count)]
+    spaced = geomspace if cfg.log_grid else linspace
+    grid = spaced(cfg.beta1_min, cfg.beta1_max, cfg.count)
     return [_solve_row(cfg, make_profile(cfg.n, beta1)) for beta1 in grid], 0
 
 
@@ -203,8 +198,8 @@ def _run_verify(cfg: argparse.Namespace):
     p = make_profile(cfg.n, cfg.beta1)
     m = build_map(p)
 
-    taus = np.linspace(1.0, p.alpha2, 1002)[1:-1]
-    ode_max = float(np.max([abs(ode_residual(p, float(t))) for t in taus]))
+    taus = linspace(1.0, p.alpha2, 1002)[1:-1]
+    ode_max = max_keep_nan([abs(ode_residual(p, t)) for t in taus])
 
     grid = geometry.chart_grid(p, n_abs=cfg.grid, n_arg=cfg.grid, n_s=3)
     defects = []
@@ -216,7 +211,7 @@ def _run_verify(cfg: argparse.Namespace):
         target = p.n * tau * phi
         scale = abs(pt.w) ** 2 * (1.0 + abs(pt.z) ** 2) ** 2
         defects.append(abs(g.det() * scale - target) / target)
-    det_max = float(np.max(defects))     # np.max keeps a NaN; max() drops it
+    det_max = max_keep_nan(defects)
 
     einstein_max = geometry.einstein_residual(p, m, grid, step=cfg.fd_step)
 

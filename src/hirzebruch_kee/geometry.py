@@ -30,8 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._floats import linspace, max_keep_nan
 from .errors import DomainError, PositivityError
 from .legendre import TauSMap, tau_of_s
 from .profile import EinsteinProfile, eval_phi
@@ -52,7 +51,9 @@ class ChartPoint:
 
 def chart_s(n: int, pt: ChartPoint) -> float:
     """Invariant coordinate s = log|w|^2 + n log(1+|z|^2)."""
-    return math.log(abs(pt.w) ** 2) + n * math.log1p(abs(pt.z) ** 2)
+    # 2 log|w|, not log(|w|^2): the square overflows or underflows long
+    # before its log does
+    return 2.0 * math.log(abs(pt.w)) + n * math.log1p(abs(pt.z) ** 2)
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,8 @@ class HermitianForm2:
     g_zz: float
 
     def det(self) -> float:
-        return self.g_ww * self.g_zz - abs(self.g_wz) ** 2
+        # a product overflows to inf where a float ** 2 would raise
+        return self.g_ww * self.g_zz - abs(self.g_wz) * abs(self.g_wz)
 
     def min_eigenvalue(self) -> float:
         tr = self.g_ww + self.g_zz
@@ -79,10 +81,9 @@ class HermitianForm2:
         return HermitianForm2(k * self.g_ww, k * self.g_wz, k * self.g_zz)
 
     def max_abs_diff(self, other: "HermitianForm2") -> float:
-        # np.max keeps a NaN entry, which max() would drop
-        return float(np.max([abs(self.g_ww - other.g_ww),
+        return max_keep_nan([abs(self.g_ww - other.g_ww),
                              abs(self.g_wz - other.g_wz),
-                             abs(self.g_zz - other.g_zz)]))
+                             abs(self.g_zz - other.g_zz)])
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,18 @@ def fiber_metric_sample(p: EinsteinProfile, tau: float) -> FiberMetricSample:
                              angular_coeff=2.0 * phi)
 
 
+def _over_abs2(x: float, w: complex) -> float:
+    """x / |w|^2 without the errors of abs(w) ** 2 on valid chart points.
+
+    The product |w| |w| rounds exactly as abs(w) ** 2 does, but overflows
+    to inf instead of raising OverflowError; below the normal range, where
+    it would lose digits or divide by zero, |w| is divided out twice.
+    """
+    aw = abs(w)
+    aw2 = aw * aw
+    return x / aw2 if aw2 >= sys.float_info.min else x / aw / aw
+
+
 def metric_at(p: EinsteinProfile, m: TauSMap, pt: ChartPoint) -> HermitianForm2:
     """Kahler metric at a chart point.
 
@@ -114,7 +127,7 @@ def metric_at(p: EinsteinProfile, m: TauSMap, pt: ChartPoint) -> HermitianForm2:
     tau = tau_of_s(m, s)
     phi = eval_phi(p, tau)
     az = 1.0 + abs(pt.z) ** 2
-    g_ww = phi / abs(pt.w) ** 2
+    g_ww = _over_abs2(phi, pt.w)
     g_wz = p.n * phi * pt.z / (pt.w * az)
     g_zz = (p.n * tau + p.n ** 2 * phi * abs(pt.z) ** 2) / az ** 2
     form = HermitianForm2(g_ww=g_ww, g_wz=complex(g_wz), g_zz=g_zz)
@@ -186,7 +199,7 @@ def ricci_fd(p: EinsteinProfile, m: TauSMap, pt: ChartPoint,
     a = _complex_hessian(p, m, pt, step)
     b = _complex_hessian(p, m, pt, 0.5 * step)
     l_ww, l_wz, l_zz = ((4.0 * bb - aa) / 3.0 for aa, bb in zip(a, b))
-    ric_ww = -l_ww / abs(pt.w) ** 2
+    ric_ww = _over_abs2(-l_ww, pt.w)
     ric_wz = -l_wz / pt.w
     ric_zz = -l_zz
     return HermitianForm2(g_ww=ric_ww, g_wz=complex(ric_wz), g_zz=ric_zz)
@@ -201,11 +214,11 @@ def chart_grid(p: EinsteinProfile, n_abs: int = 5, n_arg: int = 5, n_s: int = 3,
     only through phases that the Einstein comparison sees anyway).
     """
     pts = []
-    for zabs in np.linspace(0.2, 1.5, n_abs):
+    for zabs in linspace(0.2, 1.5, n_abs):
         for k in range(n_arg):
             zarg = 0.15 + 2.0 * math.pi * k / n_arg
             z = cmath.rect(zabs, zarg)
-            for s in np.linspace(s_lo, s_hi, n_s):
+            for s in linspace(s_lo, s_hi, n_s):
                 logw2 = s - p.n * math.log1p(abs(z) ** 2)
                 w = cmath.rect(math.exp(0.5 * logw2), 0.4)
                 pts.append(ChartPoint(z=z, w=w))
@@ -226,7 +239,7 @@ def einstein_residual(p: EinsteinProfile, m: TauSMap, grid: list[ChartPoint],
     for pt in grid:
         g = metric_at(p, m, pt)
         residuals.append(ricci_fd(p, m, pt, step=step).max_abs_diff(g.scaled(p.lam)))
-    return float(np.max(residuals))
+    return max_keep_nan(residuals)
 
 
 # Carlson's duplication stops once 4^-m Q < A, which bounds the relative

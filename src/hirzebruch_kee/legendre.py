@@ -27,8 +27,14 @@ softplus(q) - softplus(-q) = q, it reads
 
     s = A q + C (log(tau - alpha1) + softplus(q)) + const.
 
-No two large terms cancel (A grows like 1/beta1 while C stays of order one),
-and q sidesteps a representability wall: at beta1 near 1, |s| >= 40
+As beta1 -> 0 no two large terms cancel (A grows like 1/beta1 while C stays
+of order one).  Near n beta1 -> 2 they do: alpha2 grows without bound, and
+C (log(tau - alpha1) + softplus(q) - c0) subtracts two logs of size
+log(alpha2) (about 6 at (n, beta1) = (4, 0.4975), 23 at (2, 1 - 1e-10)), so
+round trips s -> q -> s there miss s = +-1 by 10-12 eps, where elsewhere
+they stay within a few ulp.
+
+q also sidesteps a representability wall: at beta1 near 1, |s| >= 40
 requires tau - 1 ~ exp(-40), far below the spacing of doubles around 1,
 while q there is perfectly representable; only the cosmetic tau saturates.
 So the map covers every finite s.

@@ -22,9 +22,12 @@ divided by beta1^2, becomes coeff_y dy^2 + coeff_theta dtheta^2 with
     coeff_y     = n^2 beta1^2 / (8 phi),
     coeff_theta = 2 phi / beta1^2.
 
-Both tend to n/2: the fibers collapse to round two-spheres of a fixed shape
-while the total space converges, as tensors at fixed chart points, to n
-times the pullback of the Fubini-Study metric of the base.  Two diagnostics
+Both tend to n/2, so in y the rescaled fiber metric is (n/2)(dy^2 + dtheta^2)
+on |y| < 1/beta1: a flat cylinder whose length grows like 1/beta1.  Without
+the rescaling the fiber collapses to an interval, its length tending to
+pi*sqrt(n/2) while its circumference 2 pi sqrt(2 phi) tends to 0, and the
+total space converges, as tensors at fixed chart points, to n times the
+pullback of the Fubini-Study metric of the base.  Two diagnostics
 are reported side by side without adjudication: the unrescaled fiber length
 (which stays order one, approaching pi*sqrt(n/2)) and the pointwise tensor
 deviation from the Fubini-Study pullback (which decays like beta1).

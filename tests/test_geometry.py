@@ -10,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from hirzebruch_kee import (ChartPoint, DomainError, PositivityError, build_map,
-                            chart_grid, chart_s, collapse_entry, cone_angle_probe,
-                            einstein_residual, eval_phi, fiber_length,
+from hirzebruch_kee import (ChartPoint, DomainError, KeeError, PositivityError,
+                            build_map, chart_grid, chart_s, collapse_entry,
+                            cone_angle_probe, einstein_residual, eval_phi, fiber_length,
                             fiber_metric_sample, fiber_volume, fs_pullback,
                             make_profile, metric_at, ricci_fd, tau_of_s,
                             total_volume)
@@ -45,6 +45,28 @@ def test_chart_s_formula():
     pt = ChartPoint(z=0.5 + 0.5j, w=2.0 + 0.0j)
     want = math.log(4.0) + 2.0 * math.log(1.5)
     assert abs(chart_s(2, pt) - want) < 1e-14
+
+
+@pytest.mark.parametrize("beta1, z, w", [
+    (0.5, 0.0, 1e160), (0.5, 0.0, 1e-170),
+    # at small beta1 phi is still positive there, so g_wz ~ 1e166
+    (0.01, 0.7 + 0.2j, 1e-170)])
+def test_extreme_chart_points_give_a_form_or_a_kee_error(beta1, z, w):
+    # |w|^2 leaves the double range at these valid points; the chart must
+    # not square |w| on the way, nor raise OverflowError, ValueError or
+    # ZeroDivisionError
+    p = make_profile(1, beta1)
+    m = build_map(p)
+    pt = ChartPoint(z=z, w=w)
+    assert chart_s(1, pt) == pytest.approx(2.0 * math.log(w) + math.log1p(abs(z) ** 2),
+                                           rel=1e-15)
+    for evaluate in (metric_at, ricci_fd):
+        try:
+            form = evaluate(p, m, pt)
+        except KeeError:
+            continue
+        assert isinstance(form, geometry.HermitianForm2)
+        form.det()      # squares |g_wz|, which must not raise either
 
 
 def test_entries_at_z_zero():
