@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-from hirzebruch_kee import (build_map, eval_phi, fiber_length,
-                            fiber_metric_sample, fiber_volume, make_profile,
-                            tau_of_s, total_volume)
+from hirzebruch_kee import (build_map, fiber_length, fiber_volume,
+                            make_profile, tau_phi_of_s, total_volume)
 
 
 def main():
@@ -29,8 +28,8 @@ def main():
     # squared radius of the revolution circle
     print("\n  s       tau        2*phi (circle radius^2)")
     for s in np.linspace(-6.0, 6.0, 9):
-        t = tau_of_s(m, float(s))
-        print(f"  {s:5.1f}  {t:9.6f}   {2*eval_phi(p, t):.8f}")
+        t, phi = tau_phi_of_s(m, float(s))
+        print(f"  {s:5.1f}  {t:9.6f}   {2*phi:.8f}")
 
     # meridian length from pole to pole, in two halves that must add up
     mid = 0.5 * (1.0 + p.alpha2)

@@ -15,13 +15,12 @@ from .cohomology import (DivisorClass, canonical_class, class_volume,
                          section_coefficients, zero_section)
 from .errors import (DomainError, KeeError, PositivityError, QuadratureError,
                      RangeError, UsageError)
-from .geometry import (ChartPoint, FiberMetricSample, HermitianForm2,
-                       chart_grid, chart_s, cone_angle_probe,
-                       einstein_residual, fiber_length, fiber_metric_sample,
+from .geometry import (ChartPoint, HermitianForm2, chart_grid, chart_s,
+                       cone_angle_probe, einstein_residual, fiber_length,
                        fiber_volume, fs_pullback, metric_at, ricci_fd,
                        total_volume)
 from .legendre import (TauSMap, build_map, log_slope_at_end, s_of_tau,
-                       tau_of_s, tau_of_y, y_of_tau)
+                       tau_of_s, tau_of_y, tau_phi_of_s, y_of_tau)
 from .limits import (CollapseEntry, CollapseReport, alpha_series,
                      beta2_series, collapse_entry, collapse_report,
                      fiber_length_asymptote, rescaled_fiber_metric,
@@ -29,24 +28,23 @@ from .limits import (CollapseEntry, CollapseReport, alpha_series,
 from .profile import (BETA1_CONSTRAINT, ConeAngles, EinsteinProfile,
                       eval_phi, eval_phi_exact, eval_phi_prime, make_profile,
                       ode_residual)
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, quad_checked
+from .quadrature import quad_checked
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BETA1_CONSTRAINT", "ChartPoint", "CollapseEntry", "CollapseReport",
-    "ConeAngles", "DEFAULT_QUAD", "DivisorClass", "DomainError",
-    "EinsteinProfile", "FiberMetricSample", "HermitianForm2",
-    "KeeError", "PositivityError", "QuadratureConfig", "QuadratureError",
+    "ConeAngles", "DivisorClass", "DomainError", "EinsteinProfile",
+    "HermitianForm2", "KeeError", "PositivityError", "QuadratureError",
     "RangeError", "TauSMap", "UsageError", "alpha_series", "beta2_series",
     "build_map", "canonical_class", "chart_grid", "chart_s", "class_volume",
     "collapse_entry", "collapse_report", "cone_angle_probe",
     "einstein_residual", "eval_phi", "eval_phi_exact", "eval_phi_prime",
-    "fiber_class", "fiber_length", "fiber_length_asymptote",
-    "fiber_metric_sample", "fiber_volume", "fs_pullback", "infinity_section",
-    "intersect", "is_kahler", "kee_class", "log_slope_at_end", "make_profile",
-    "metric_at", "ode_residual", "proportionality_check", "quad_checked",
-    "rescaled_fiber_metric", "rescaled_phi_y", "ricci_fd",
-    "s_of_tau", "section_coefficients", "tau_of_s", "tau_of_y",
-    "tensor_deviation", "total_volume", "y_of_tau", "zero_section",
+    "fiber_class", "fiber_length", "fiber_length_asymptote", "fiber_volume",
+    "fs_pullback", "infinity_section", "intersect", "is_kahler", "kee_class",
+    "log_slope_at_end", "make_profile", "metric_at", "ode_residual",
+    "proportionality_check", "quad_checked", "rescaled_fiber_metric",
+    "rescaled_phi_y", "ricci_fd", "s_of_tau", "section_coefficients",
+    "tau_of_s", "tau_of_y", "tau_phi_of_s", "tensor_deviation",
+    "total_volume", "y_of_tau", "zero_section",
 ]

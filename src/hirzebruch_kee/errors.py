@@ -18,7 +18,8 @@ class RangeError(KeeError, ValueError):
 
 
 class QuadratureError(KeeError, RuntimeError):
-    """A numerical integration failed to meet its target tolerance."""
+    """A volume integral failed its check: a non-finite value, two step
+    sizes that disagree, or an integrand that does not decay."""
 
 
 class PositivityError(KeeError, RuntimeError):
@@ -26,8 +27,10 @@ class PositivityError(KeeError, RuntimeError):
 
     Positivity holds identically on the open surface, so hitting this
     signals a bug, a deliberately inconsistent profile, or a point so deep
-    in a tail that tau rounds onto a root of phi, where phi = 0: at
-    (n, beta1) = (1, 1.0) and z = 0, s = -41.9 is such a point.
+    in a tail that phi or an entry of the form leaves the double range:
+    phi is formed from the map's stretched coordinate q and is 0 only once
+    sigma(q) underflows, at (n, beta1) = (1, 1.0) and z = 0 for s below
+    about -745.
     """
 
 

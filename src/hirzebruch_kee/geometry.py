@@ -21,6 +21,12 @@ throughout (dropping it, as rough estimates sometimes do, would scale every
 fiber length by sqrt(2)).  Fiber lengths are elliptic integrals in the
 roots alpha1 < 0 < 1 < alpha2 of the profile's cubic, taken in closed form
 through Carlson's R_F and R_J, so no quadrature reaches them.
+
+Every value of phi at a fiber point comes from the map's stretched
+coordinate q (legendre.tau_phi_of_s), never from a rounded tau, and the two
+volumes are integrals over the whole q-line: the fiber area is 2 pi times
+the integral of phi ds, and the total volume 2 n (2 pi)^2 times that of
+tau phi ds, each by the checked trapezoid rule of `quadrature`.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 from ._floats import linspace, max_keep_nan
 from .errors import DomainError, PositivityError
-from .legendre import TauSMap, tau_of_s
+from .legendre import TauSMap, _dsdq, _tau_phi_at_q, tau_phi_of_s
 from .profile import EinsteinProfile, eval_phi
 from .quadrature import quad_checked
 
@@ -49,11 +55,22 @@ class ChartPoint:
             raise DomainError("chart points need w != 0 (w = 0 is the zero section)")
 
 
+def _log1p_abs2(z: complex) -> float:
+    """log(1 + |z|^2), finite for every finite z.
+
+    |z| |z| overflows to inf where abs(z) ** 2 would raise; past that point
+    log1p(|z|^-2) is below the last bit of 2 log|z|, which is then the log.
+    """
+    az = abs(z)
+    az2 = az * az
+    return math.log1p(az2) if az2 < math.inf else 2.0 * math.log(az)
+
+
 def chart_s(n: int, pt: ChartPoint) -> float:
     """Invariant coordinate s = log|w|^2 + n log(1+|z|^2)."""
     # 2 log|w|, not log(|w|^2): the square overflows or underflows long
     # before its log does
-    return 2.0 * math.log(abs(pt.w)) + n * math.log1p(abs(pt.z) ** 2)
+    return 2.0 * math.log(abs(pt.w)) + n * _log1p_abs2(pt.z)
 
 
 @dataclass(frozen=True)
@@ -86,23 +103,6 @@ class HermitianForm2:
                              abs(self.g_zz - other.g_zz)])
 
 
-@dataclass(frozen=True)
-class FiberMetricSample:
-    """Coefficients of the fiber metric dtau^2/(2 phi) + 2 phi dtheta^2."""
-
-    tau: float
-    radial_coeff: float
-    angular_coeff: float
-
-
-def fiber_metric_sample(p: EinsteinProfile, tau: float) -> FiberMetricSample:
-    phi = eval_phi(p, tau)
-    if phi <= 0.0:
-        raise DomainError(f"fiber metric sample needs interior tau, got tau={tau}")
-    return FiberMetricSample(tau=float(tau), radial_coeff=1.0 / (2.0 * phi),
-                             angular_coeff=2.0 * phi)
-
-
 def _over_abs2(x: float, w: complex) -> float:
     """x / |w|^2 without the errors of abs(w) ** 2 on valid chart points.
 
@@ -118,18 +118,20 @@ def _over_abs2(x: float, w: complex) -> float:
 def metric_at(p: EinsteinProfile, m: TauSMap, pt: ChartPoint) -> HermitianForm2:
     """Kahler metric at a chart point.
 
-    Every chart point has a finite s, so the map always answers.  Where |s|
-    is so large that tau rounds onto a root, phi is 0, the form is singular
-    and PositivityError is raised: at (n, beta1) = (1, 1.0) and z = 0 that
-    is every s below about -37.7, s = -41.9 among them.
+    Every chart point has a finite s, so the map always answers.  phi comes
+    from the map's q, so it stays positive where tau has rounded onto a
+    root: at (n, beta1) = (1, 1.0) and z = 0 that is every s below about
+    -37.7, and s = -700 still gives a form.  PositivityError is raised
+    where sigma(q) underflows and phi is 0 (s below about -745 there), or
+    where an entry overflows or underflows so that the form is no longer
+    positive in floating point.
     """
-    s = chart_s(p.n, pt)
-    tau = tau_of_s(m, s)
-    phi = eval_phi(p, tau)
-    az = 1.0 + abs(pt.z) ** 2
+    tau, phi = tau_phi_of_s(m, chart_s(p.n, pt))
+    z2 = abs(pt.z) * abs(pt.z)    # a product overflows to inf where ** 2 would raise
+    az = 1.0 + z2
     g_ww = _over_abs2(phi, pt.w)
     g_wz = p.n * phi * pt.z / (pt.w * az)
-    g_zz = (p.n * tau + p.n ** 2 * phi * abs(pt.z) ** 2) / az ** 2
+    g_zz = (p.n * tau + p.n ** 2 * phi * z2) / (az * az)
     form = HermitianForm2(g_ww=g_ww, g_wz=complex(g_wz), g_zz=g_zz)
     if not (form.g_ww > 0.0 and form.det() > 0.0):
         raise PositivityError(f"metric lost positivity at z={pt.z}, w={pt.w}: "
@@ -139,8 +141,8 @@ def metric_at(p: EinsteinProfile, m: TauSMap, pt: ChartPoint) -> HermitianForm2:
 
 def fs_pullback(pt: ChartPoint) -> HermitianForm2:
     """Pullback of the Fubini-Study form of the base: only g_zz survives."""
-    az = 1.0 + abs(pt.z) ** 2
-    return HermitianForm2(g_ww=0.0, g_wz=0.0 + 0.0j, g_zz=1.0 / az ** 2)
+    az = 1.0 + abs(pt.z) * abs(pt.z)
+    return HermitianForm2(g_ww=0.0, g_wz=0.0 + 0.0j, g_zz=1.0 / (az * az))
 
 
 def _log_det_at(p: EinsteinProfile, m: TauSMap, u: float, th: float,
@@ -219,7 +221,7 @@ def chart_grid(p: EinsteinProfile, n_abs: int = 5, n_arg: int = 5, n_s: int = 3,
             zarg = 0.15 + 2.0 * math.pi * k / n_arg
             z = cmath.rect(zabs, zarg)
             for s in linspace(s_lo, s_hi, n_s):
-                logw2 = s - p.n * math.log1p(abs(z) ** 2)
+                logw2 = s - p.n * _log1p_abs2(z)
                 w = cmath.rect(math.exp(0.5 * logw2), 0.4)
                 pts.append(ChartPoint(z=z, w=w))
     return pts
@@ -364,28 +366,31 @@ def cone_angle_probe(p: EinsteinProfile, end: str, tau_probe: float) -> float:
 
 
 def fiber_volume(p: EinsteinProfile) -> float:
-    """Area of one fiber by quadrature of its area form.
+    """Area of one fiber: 2 pi times the integral of phi ds over the line.
 
-    The area density sqrt(radial * angular) is identically 1 in (tau, theta),
-    so the result equals 2 pi (alpha2 - 1); the quadrature still assembles it
-    from the metric coefficients as a consistency route.
+    The area form of the fiber metric is dtau dtheta = phi ds dtheta, so the
+    result equals 2 pi (alpha2 - 1).  It is taken in the stretched coordinate
+    q, from the metric's phi and the map's density ds/dq at each node, so it
+    checks both against that closed form.
     """
-    def density(tau):
-        s = fiber_metric_sample(p, tau)
-        return math.sqrt(s.radial_coeff * s.angular_coeff)
+    def density(q):
+        return _tau_phi_at_q(p, q)[1] * _dsdq(p, q)
 
-    return 2.0 * math.pi * quad_checked(density, 1.0, p.alpha2)
+    return 2.0 * math.pi * quad_checked(density)
 
 
 def total_volume(p: EinsteinProfile) -> float:
-    """Total volume of the surface: 2 n (2 pi)^2 integral of tau dtau.
+    """Total volume of the surface: 2 n (2 pi)^2 times the integral of tau phi ds.
 
     The mixed volume density is 2 n tau phi against the product of the base
     area form (total mass 2 pi) and ds dtheta on the fibers; since
-    phi ds = dtau, the s-integral collapses to the momentum integral of
-    2 tau, giving 4 pi^2 n (alpha2^2 - 1).  Matches (2 pi)^2 times the
-    self-intersection of the Kahler class, the single place the 2 pi class
-    normalization enters this package.
+    phi ds = dtau, the integral is that of tau over [1, alpha2], giving
+    4 pi^2 n (alpha2^2 - 1).  Matches (2 pi)^2 times the self-intersection
+    of the Kahler class, the single place the 2 pi class normalization
+    enters this package.  Taken in q like `fiber_volume`.
     """
-    moment = quad_checked(lambda tau: tau, 1.0, p.alpha2)
-    return 2.0 * p.n * (2.0 * math.pi) ** 2 * moment
+    def density(q):
+        tau, phi = _tau_phi_at_q(p, q)
+        return tau * phi * _dsdq(p, q)
+
+    return 2.0 * p.n * (2.0 * math.pi) ** 2 * quad_checked(density)

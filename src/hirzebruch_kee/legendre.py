@@ -37,7 +37,10 @@ they stay within a few ulp.
 q also sidesteps a representability wall: at beta1 near 1, |s| >= 40
 requires tau - 1 ~ exp(-40), far below the spacing of doubles around 1,
 while q there is perfectly representable; only the cosmetic tau saturates.
-So the map covers every finite s.
+So the map covers every finite s.  phi is formed from q as well
+(tau_phi_of_s), with tau - 1 = (alpha2 - 1) sigma(q) and alpha2 - tau =
+(alpha2 - 1) sigma(-q), so it keeps its relative accuracy where tau has
+rounded onto a root, and is 0 only once sigma underflows, near |q| = 745.
 
 The coefficients come from the stored roots and leading coefficient, never
 from the beta fields, so a profile with tampered roots stays inconsistent
@@ -89,8 +92,19 @@ def _sigma(q: float) -> float:
     return 1.0 / (1.0 + t) if q >= 0.0 else t / (1.0 + t)
 
 
-def _tau_from_q(p: EinsteinProfile, q: float) -> float:
-    return 1.0 + (p.alpha2 - 1.0) * _sigma(q)
+def _tau_phi_at_q(p: EinsteinProfile, q: float) -> tuple[float, float]:
+    """(tau, phi) at the stretched coordinate q: the package's one phi.
+
+    tau - 1, alpha2 - tau and tau - alpha1 are formed from q, never as a
+    difference of tau and a root, so phi keeps its relative accuracy until
+    sigma(q) or sigma(-q) underflows, near |q| = 745.
+    """
+    span = p.alpha2 - 1.0
+    xi = span * _sigma(q)
+    rho = span * _sigma(-q)
+    d2 = (1.0 - p.alpha1) + xi
+    tau = 1.0 + xi
+    return tau, -p.leading * xi * rho * d2 / tau
 
 
 def _q_from_tau(p: EinsteinProfile, tau: float) -> float:
@@ -163,9 +177,14 @@ def _q_of_s(m: TauSMap, s: float) -> float:
     return q
 
 
+def tau_phi_of_s(m: TauSMap, s: float) -> tuple[float, float]:
+    """Momentum value and profile value (tau, phi) at a finite s."""
+    return _tau_phi_at_q(m.profile, _q_of_s(m, s))
+
+
 def tau_of_s(m: TauSMap, s: float) -> float:
     """Momentum value at a finite log-norm coordinate."""
-    return _tau_from_q(m.profile, _q_of_s(m, s))
+    return _tau_phi_at_q(m.profile, _q_of_s(m, s))[0]
 
 
 def log_slope_at_end(m: TauSMap, end: str, s_probe: float) -> float:
@@ -185,16 +204,11 @@ def log_slope_at_end(m: TauSMap, end: str, s_probe: float) -> float:
         raise DomainError(f"end={end!r} expects s of the {'negative' if end == 'lower' else 'positive'} sign")
     q = _q_of_s(m, s_probe)
     p = m.profile
-    span = p.alpha2 - 1.0
-    sig = _sigma(q)
-    xi = span * sig
-    rho = span * (1.0 - sig)
-    d2 = (1.0 - p.alpha1) + xi
-    tau = 1.0 + xi
-    cbar = -p.leading
-    pprime = (xi + d2) * rho - xi * d2
-    phi = cbar * xi * rho * d2 / tau
-    return cbar * pprime / tau - phi / tau
+    tau, phi = _tau_phi_at_q(p, q)
+    # log phi = log sigma(q) + log sigma(-q) + log(tau - alpha1) - log tau
+    # + const, whose q-derivative is sigma(-q) - sigma(q) = -tanh(q/2) plus
+    # alpha1 dtau/dq / ((tau - alpha1) tau); dtau/dq = phi ds/dq
+    return -math.tanh(0.5 * q) / _dsdq(p, q) + p.alpha1 * phi / ((tau - p.alpha1) * tau)
 
 
 def y_of_tau(p: EinsteinProfile, tau: float) -> float:

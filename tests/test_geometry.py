@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from hirzebruch_kee import (ChartPoint, DomainError, KeeError, PositivityError,
                             build_map, chart_grid, chart_s, collapse_entry,
                             cone_angle_probe, einstein_residual, eval_phi, fiber_length,
-                            fiber_metric_sample, fiber_volume, fs_pullback,
-                            make_profile, metric_at, ricci_fd, tau_of_s,
-                            total_volume)
+                            fiber_volume, fs_pullback, make_profile, metric_at,
+                            ricci_fd, tau_of_s, tau_phi_of_s, total_volume)
 from hirzebruch_kee import geometry
 from hirzebruch_kee.cli import main
 from hirzebruch_kee.cohomology import class_volume, kee_class
@@ -50,17 +49,20 @@ def test_chart_s_formula():
 @pytest.mark.parametrize("beta1, z, w", [
     (0.5, 0.0, 1e160), (0.5, 0.0, 1e-170),
     # at small beta1 phi is still positive there, so g_wz ~ 1e166
-    (0.01, 0.7 + 0.2j, 1e-170)])
+    (0.01, 0.7 + 0.2j, 1e-170),
+    # |z|^2 overflows; s = 736.8, and with w = 1e-160 s = 0
+    (0.5, 1e160, 1.0), (0.5, 1e160, 1e-160)])
 def test_extreme_chart_points_give_a_form_or_a_kee_error(beta1, z, w):
-    # |w|^2 leaves the double range at these valid points; the chart must
-    # not square |w| on the way, nor raise OverflowError, ValueError or
-    # ZeroDivisionError
+    # |w|^2 or |z|^2 leaves the double range at these valid points; the
+    # chart must not square either on the way, nor raise OverflowError,
+    # ValueError or ZeroDivisionError
     p = make_profile(1, beta1)
     m = build_map(p)
     pt = ChartPoint(z=z, w=w)
-    assert chart_s(1, pt) == pytest.approx(2.0 * math.log(w) + math.log1p(abs(z) ** 2),
-                                           rel=1e-15)
-    for evaluate in (metric_at, ricci_fd):
+    with mp.workdps(30):
+        want = 2 * mp.log(w) + mp.log1p(mp.mpf(abs(z)) ** 2)
+    assert chart_s(1, pt) == pytest.approx(float(want), rel=1e-15, abs=1e-15)
+    for evaluate in (metric_at, ricci_fd, lambda p, m, pt: fs_pullback(pt)):
         try:
             form = evaluate(p, m, pt)
         except KeeError:
@@ -128,8 +130,9 @@ def test_metric_positive_with_det_identity_property(n, u, s, zabs, zarg, warg):
     pt = ChartPoint(z=z, w=w)
     g = metric_at(p, m, pt)
     assert g.g_ww > 0.0 and g.det() > 0.0 and g.min_eigenvalue() > 0.0
-    tau = tau_of_s(m, chart_s(n, pt))
-    phi = eval_phi(p, tau)
+    # the (tau, phi) the metric is built from; eval_phi(tau_of_s) would
+    # round through tau - alpha2 first, about 40 eps of phi at s = 5
+    tau, phi = tau_phi_of_s(m, chart_s(n, pt))
     want = n * tau * phi
     got = g.det() * abs(w) ** 2 * (1.0 + zabs ** 2) ** 2
     # det = g_ww g_zz - |g_wz|^2 cancels g_ww g_zz down to n tau phi, a
@@ -139,11 +142,49 @@ def test_metric_positive_with_det_identity_property(n, u, s, zabs, zarg, warg):
     assert abs(got - want) <= 8.0 * sys.float_info.epsilon * cancel * want
 
 
-def test_positivity_error_where_tau_rounds_onto_root():
-    # at (1, 1.0), s = -41.9 puts tau - 1 below the spacing of doubles at 1
+def _mp_phi_at_s(p, s):
+    # 40-digit phi at log-norm s, gauged like the map (s = 0 at the
+    # midpoint of [1, alpha2]); solved in log(tau - 1), so the depth of the
+    # tail costs no digits
+    a1, a2, cbar = mp.mpf(p.alpha1), mp.mpf(p.alpha2), -mp.mpf(p.leading)
+    span = a2 - 1
+    ca = 1 / (cbar * span * (1 - a1))
+    cb = a2 / (cbar * span * (a2 - a1))
+    cc = -a1 / (cbar * (1 - a1) * (a2 - a1))
+
+    def s_of_xi(xi):
+        return ca * mp.log(xi) - cb * mp.log(span - xi) + cc * mp.log(1 - a1 + xi)
+
+    s0 = s_of_xi(span / 2)
+    log_xi = mp.findroot(lambda lx: s_of_xi(mp.exp(lx)) - s0 - s, (s - s0) / ca)
+    xi = mp.exp(log_xi)
+    return cbar * xi * (span - xi) * (1 - a1 + xi) / (1 + xi)
+
+
+@pytest.mark.parametrize("s", [-41.9, -700.0])
+def test_deep_lower_tail_gives_a_form_matching_mpmath(s):
+    # at (1, 1.0), s = -41.9 already puts tau - 1 below the spacing of
+    # doubles at 1, so tau rounds onto the root; phi is formed from the
+    # map's q instead, and keeps its digits while sigma(q) is a normal
+    # double.  At z = 0, g_ww = phi/|w|^2 = phi exp(-s); s itself is
+    # only known to about |s| eps, and phi moves by beta1 = 1 times that
+    # (measured at most 0.4 |s| eps)
     p, m = rigid()
-    pt = ChartPoint(z=0.0 + 0.0j, w=complex(math.exp(-0.5 * 41.9)))
+    pt = ChartPoint(z=0.0 + 0.0j, w=complex(math.exp(0.5 * s)))
     assert tau_of_s(m, chart_s(p.n, pt)) == 1.0
+    g = metric_at(p, m, pt)
+    assert g.g_ww > 0.0 and g.det() > 0.0
+    with mp.workdps(40):
+        s_exact = 2 * mp.log(mp.mpf(pt.w.real))
+        want = _mp_phi_at_s(p, s_exact) * mp.exp(-s_exact)
+        assert abs(g.g_ww - want) <= 2.0 * abs(s) * sys.float_info.epsilon * want
+
+
+def test_positivity_error_once_sigma_underflows():
+    # at s = -760, sigma(q) = exp(-760) is below the smallest double, so
+    # phi is 0 and the form is singular
+    p, m = rigid()
+    pt = ChartPoint(z=0.0 + 0.0j, w=complex(math.exp(-0.5 * 760.0)))
     with pytest.raises(PositivityError):
         metric_at(p, m, pt)
 
@@ -231,14 +272,6 @@ def test_ricci_fd_stencil_size(monkeypatch):
     p, m = rigid()
     ricci_fd(p, m, ChartPoint(z=0.3 + 0.1j, w=0.7 + 0.0j))
     assert len(calls) == 50
-
-
-def test_fiber_metric_sample():
-    p = make_profile(1, 0.5)
-    smp = fiber_metric_sample(p, 1.3)
-    assert smp.radial_coeff > 0.0 and smp.angular_coeff > 0.0
-    assert abs(smp.radial_coeff * smp.angular_coeff - 1.0) < 1e-14
-    assert abs(smp.angular_coeff - 2.0 * eval_phi(p, 1.3)) < 1e-14
 
 
 def test_fiber_length_small_angle_near_asymptote():

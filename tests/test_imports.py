@@ -43,8 +43,8 @@ def _cli_code(argv: list[str]) -> str:
 
 
 # the package runs on the standard library alone: the tau <-> s map and
-# the fiber lengths are closed forms, and the Gauss-Legendre nodes, grids
-# and NaN-keeping maxima are pure Python
+# the fiber lengths are closed forms, and the trapezoid nodes, grids and
+# NaN-keeping maxima are pure Python
 def test_package_import_loads_no_scipy():
     assert _loaded("scipy", "import hirzebruch_kee") == []
 
@@ -61,3 +61,11 @@ def test_cli_run_loads_no_scipy(cmd):
 @pytest.mark.parametrize("cmd", list(_COMMANDS))
 def test_cli_run_loads_no_numpy(cmd):
     assert _loaded("numpy", _cli_code(_COMMANDS[cmd])) == []
+
+
+def test_package_import_loads_the_quadrature_module():
+    # the benchmark's span tracer (kee_bench/tracer.py) wraps the functions
+    # of every layer it lists, quadrature among them, and looks each layer up
+    # in sys.modules after `import hirzebruch_kee`; without this module its
+    # traced runs stop with a KeyError
+    assert "hirzebruch_kee.quadrature" in _loaded("hirzebruch_kee", "import hirzebruch_kee")

@@ -160,6 +160,27 @@ def test_log_slope_argument_checks():
         log_slope_at_end(m, "lower", 35.0)   # wrong sign for the end
 
 
+@pytest.mark.parametrize("n, b1", [(1, 1.0), (2, 1e-3), (1, 1e-6), (3, 1e-8),
+                                   (4, 0.4975)])
+def test_log_slope_matches_mpmath(n, b1):
+    # phi'(tau) from the factored cubic at 40 digits, at the probe's own q;
+    # tau - 1 and alpha2 - tau come from q, so no digit is lost at small
+    # beta1 (through tau - 1 the slope missed by 4.7e-10 at (3, 1e-8));
+    # measured worst 1.6 eps
+    p = make_profile(n, b1)
+    m = build_map(p)
+    for s in (-1000.0, -40.0, -20.0, 20.0, 40.0, 1000.0):
+        slope = log_slope_at_end(m, "lower" if s < 0.0 else "upper", s)
+        with mp.workdps(40):
+            q = mp.mpf(_q_of_s(m, s))
+            a1, a2, cbar = mp.mpf(p.alpha1), mp.mpf(p.alpha2), -mp.mpf(p.leading)
+            xi = (a2 - 1) / (1 + mp.exp(-q))
+            rho = (a2 - 1) / (1 + mp.exp(q))
+            d2, tau = 1 - a1 + xi, 1 + xi
+            want = cbar * ((xi + d2) * rho - xi * d2) / tau - cbar * xi * rho * d2 / tau ** 2
+            assert abs(slope - want) <= 8.0 * EPS * abs(want), (s, slope)
+
+
 def test_deep_hull_all_angles():
     # near beta1 = 1 the profile hits the representability wall in tau;
     # queries at |s| = 40 must still resolve
