@@ -27,10 +27,10 @@ class PositivityError(KeeError, RuntimeError):
 
     Positivity holds identically on the open surface, so hitting this
     signals a bug, a deliberately inconsistent profile, or a point so deep
-    in a tail that phi or an entry of the form leaves the double range:
-    phi is formed from the map's stretched coordinate q and is 0 only once
-    sigma(q) underflows, at (n, beta1) = (1, 1.0) and z = 0 for s below
-    about -745.
+    in a tail that phi or an entry of the form leaves the double range.
+    phi is formed from the map's stretched coordinate q and is refused once
+    it falls below the normal doubles, where it keeps too few digits to be
+    trusted: at (n, beta1) = (1, 1.0) and z = 0, for s below about -709.
     """
 
 

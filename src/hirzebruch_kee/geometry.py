@@ -10,10 +10,14 @@ the Kahler metric has Hermitian matrix
     g_zz = (n tau + n^2 phi |z|^2) / (1+|z|^2)^2,
 
 with the exact determinant identity det g * |w|^2 (1+|z|^2)^2 = n tau phi.
-The Ricci form is recovered purely numerically as -dd^c log det g via central
-second differences in (log|w|, arg w, Re z, Im z) with Richardson
-extrapolation, and compared against lam * g; nothing of the closed-form
-curvature enters that check, which is the point.
+In the log chart (W = log w, z) the same metric reads g_WW = phi,
+g_Wz = n phi z/(1+|z|^2) and the same g_zz: functions of s and z alone,
+with no power of |w| and no arg w, as the fiber rotation invariance of the
+Calabi ansatz requires.  One kernel assembles that form; metric_at maps it
+to the w chart, and the Ricci form is recovered from it purely numerically
+as -dd^c log det g, by central second differences in (log|w|, Re z, Im z)
+with Richardson extrapolation, and compared against lam * g.  Nothing of
+the closed-form curvature enters that check, which is the point.
 
 Restricted to a fiber the metric is dtau^2/(2 phi) + 2 phi dtheta^2, so the
 radial arclength element is dtau/sqrt(2 phi).  The factor 2 is kept exactly
@@ -115,24 +119,42 @@ def _over_abs2(x: float, w: complex) -> float:
     return x / aw2 if aw2 >= sys.float_info.min else x / aw / aw
 
 
-def metric_at(p: EinsteinProfile, m: TauSMap, pt: ChartPoint) -> HermitianForm2:
-    """Kahler metric at a chart point.
+def _log_chart_form(p: EinsteinProfile, m: TauSMap, s: float, z: complex) -> HermitianForm2:
+    """The metric in the log chart (W = log w, z): the one place its entries
+    are assembled.
 
-    Every chart point has a finite s, so the map always answers.  phi comes
-    from the map's q, so it stays positive where tau has rounded onto a
-    root: at (n, beta1) = (1, 1.0) and z = 0 that is every s below about
-    -37.7, and s = -700 still gives a form.  PositivityError is raised
-    where sigma(q) underflows and phi is 0 (s below about -745 there), or
-    where an entry overflows or underflows so that the form is no longer
-    positive in floating point.
+    There g_WW = phi, g_Wz = n phi z/(1+|z|^2) and g_zz as in the w chart;
+    they depend on w only through s, so neither |w| nor arg w enters.
+    PositivityError is raised once phi is below the normal double range
+    (sigma(q) subnormal or 0: at (n, beta1) = (1, 1.0) and z = 0, s below
+    about -709), where it would keep too few digits to be trusted, or where
+    the form is no longer positive in floating point.
     """
-    tau, phi = tau_phi_of_s(m, chart_s(p.n, pt))
-    z2 = abs(pt.z) * abs(pt.z)    # a product overflows to inf where ** 2 would raise
+    tau, phi = tau_phi_of_s(m, s)
+    z2 = abs(z) * abs(z)    # a product overflows to inf where ** 2 would raise
     az = 1.0 + z2
-    g_ww = _over_abs2(phi, pt.w)
-    g_wz = p.n * phi * pt.z / (pt.w * az)
-    g_zz = (p.n * tau + p.n ** 2 * phi * z2) / (az * az)
-    form = HermitianForm2(g_ww=g_ww, g_wz=complex(g_wz), g_zz=g_zz)
+    form = HermitianForm2(g_ww=phi, g_wz=complex(p.n * phi * z / az),
+                          g_zz=(p.n * tau + p.n ** 2 * phi * z2) / (az * az))
+    if not (phi >= sys.float_info.min and form.det() > 0.0):
+        raise PositivityError(f"metric lost positivity at s={s}, z={z}: "
+                              f"phi={phi}, det={form.det()}")
+    return form
+
+
+def metric_at(p: EinsteinProfile, m: TauSMap, pt: ChartPoint) -> HermitianForm2:
+    """Kahler metric at a chart point, in the (w, z) basis.
+
+    The log-chart form at s = chart_s(pt) mapped by d/dw = (1/w) d/dW:
+    g_ww = g_WW/|w|^2 and g_wz = g_Wz/w.  phi comes from the map's q, so
+    the form keeps its digits where tau has rounded onto a root: at
+    (n, beta1) = (1, 1.0) and z = 0 that is every s below about -37.7, and
+    s = -700 still gives an accurate form.  PositivityError is raised where
+    phi leaves the normal double range (s below about -709 there), or where
+    an entry overflows or underflows so that the form is no longer positive
+    in floating point.
+    """
+    f = _log_chart_form(p, m, chart_s(p.n, pt), pt.z)
+    form = HermitianForm2(g_ww=_over_abs2(f.g_ww, pt.w), g_wz=f.g_wz / pt.w, g_zz=f.g_zz)
     if not (form.g_ww > 0.0 and form.det() > 0.0):
         raise PositivityError(f"metric lost positivity at z={pt.z}, w={pt.w}: "
                               f"g_ww={form.g_ww}, det={form.det()}")
@@ -145,66 +167,49 @@ def fs_pullback(pt: ChartPoint) -> HermitianForm2:
     return HermitianForm2(g_ww=0.0, g_wz=0.0 + 0.0j, g_zz=1.0 / (az * az))
 
 
-def _log_det_at(p: EinsteinProfile, m: TauSMap, u: float, th: float,
-                x: float, y: float) -> float:
-    pt = ChartPoint(z=complex(x, y), w=cmath.exp(complex(u, th)))
-    return math.log(metric_at(p, m, pt).det())
-
-
-def _complex_hessian(p: EinsteinProfile, m: TauSMap, pt: ChartPoint,
-                     h: float) -> tuple[float, complex, float]:
-    """Central-difference complex Hessian of log det g at one step size.
-
-    Real steps are taken in (log|w|, arg w, Re z, Im z); the holomorphic
-    coordinate W = log w then satisfies d/dW = (d_u - i d_th)/2, so
-    L_WWbar = (L_uu + L_thth)/4, L_Wzbar = ((L_ux + L_thy) + i(L_uy - L_thx))/4
-    and L_zzbar = (L_xx + L_yy)/4.
-    """
-    u0 = math.log(abs(pt.w))
-    th0 = cmath.phase(pt.w)
-    x0, y0 = pt.z.real, pt.z.imag
-
-    def L(du=0.0, dth=0.0, dx=0.0, dy=0.0):
-        return _log_det_at(p, m, u0 + du, th0 + dth, x0 + dx, y0 + dy)
-
-    c = L()
-    dd = {}
-    for ax in ("u", "th", "x", "y"):
-        plus = L(**{f"d{ax}": h})
-        minus = L(**{f"d{ax}": -h})
-        dd[ax, ax] = (plus - 2.0 * c + minus) / h ** 2
-    # only the pairs mixing the fiber (u, th) with the base (x, y) enter L_Wzbar
-    for ax in ("u", "th"):
-        for bx in ("x", "y"):
-            pp = L(**{f"d{ax}": h, f"d{bx}": h})
-            pm = L(**{f"d{ax}": h, f"d{bx}": -h})
-            mp = L(**{f"d{ax}": -h, f"d{bx}": h})
-            mm = L(**{f"d{ax}": -h, f"d{bx}": -h})
-            dd[ax, bx] = (pp - pm - mp + mm) / (4.0 * h ** 2)
-    l_ww = 0.25 * (dd["u", "u"] + dd["th", "th"])
-    l_wz = 0.25 * complex(dd["u", "x"] + dd["th", "y"],
-                          dd["u", "y"] - dd["th", "x"])
-    l_zz = 0.25 * (dd["x", "x"] + dd["y", "y"])
-    return l_ww, l_wz, l_zz
-
-
 def ricci_fd(p: EinsteinProfile, m: TauSMap, pt: ChartPoint,
              step: float = 1e-3) -> HermitianForm2:
     """Ricci form by finite differences of log det g, no closed form used.
 
-    Richardson-extrapolates the second differences over steps (h, h/2),
-    cancelling the O(h^2) truncation, then maps the Hessian in W = log w
-    back to the w coordinate (d/dw = (1/w) d/dW).
+    Central second differences of L = log(det g_log / det at the centre)
+    over real steps in (u, x, y) = (log|w|, Re z, Im z), with g_log the
+    log-chart form at s = 2u + n log(1+|z|^2).  That form does not depend
+    on arg w, so with d/dW = (d_u - i d_arg)/2 the complex Hessian is
+    L_WWbar = L_uu/4, L_Wzbar = (L_ux + i L_uy)/4, L_zzbar = (L_xx + L_yy)/4;
+    log|w|^2 = W + Wbar, the difference between the two charts' log det,
+    is pluriharmonic and drops out.  The differences are Richardson-
+    extrapolated over steps (h, h/2), cancelling the O(h^2) truncation, and
+    the Hessian in W is mapped back to w (d/dw = (1/w) d/dW).  The ratio to
+    the centre keeps each value near 0, where its rounding is about eps;
+    the constant it removes cancels in every difference.
     """
     if not 0.0 < step < math.inf:
         raise DomainError(f"step must be positive and finite, got {step}")
-    a = _complex_hessian(p, m, pt, step)
-    b = _complex_hessian(p, m, pt, 0.5 * step)
+    u0, x0, y0 = math.log(abs(pt.w)), pt.z.real, pt.z.imag
+
+    def det_at(du: float, dx: float, dy: float) -> float:
+        z = complex(x0 + dx, y0 + dy)
+        return _log_chart_form(p, m, 2.0 * (u0 + du) + p.n * _log1p_abs2(z), z).det()
+
+    det_c = det_at(0.0, 0.0, 0.0)
+
+    def L(du: float, dx: float, dy: float) -> float:
+        return math.log(det_at(du, dx, dy) / det_c)
+
+    def hessian(h: float) -> tuple[float, complex, float]:
+        # L is 0 at the centre, so a second difference is (L(+h) + L(-h))/h^2
+        h2 = h * h
+        l_uu = (L(h, 0.0, 0.0) + L(-h, 0.0, 0.0)) / h2
+        l_xx = (L(0.0, h, 0.0) + L(0.0, -h, 0.0)) / h2
+        l_yy = (L(0.0, 0.0, h) + L(0.0, 0.0, -h)) / h2
+        l_ux = (L(h, h, 0.0) - L(h, -h, 0.0) - L(-h, h, 0.0) + L(-h, -h, 0.0)) / (4.0 * h2)
+        l_uy = (L(h, 0.0, h) - L(h, 0.0, -h) - L(-h, 0.0, h) + L(-h, 0.0, -h)) / (4.0 * h2)
+        return 0.25 * l_uu, 0.25 * complex(l_ux, l_uy), 0.25 * (l_xx + l_yy)
+
+    a = hessian(step)
+    b = hessian(0.5 * step)
     l_ww, l_wz, l_zz = ((4.0 * bb - aa) / 3.0 for aa, bb in zip(a, b))
-    ric_ww = _over_abs2(-l_ww, pt.w)
-    ric_wz = -l_wz / pt.w
-    ric_zz = -l_zz
-    return HermitianForm2(g_ww=ric_ww, g_wz=complex(ric_wz), g_zz=ric_zz)
+    return HermitianForm2(g_ww=_over_abs2(-l_ww, pt.w), g_wz=-l_wz / pt.w, g_zz=-l_zz)
 
 
 def chart_grid(p: EinsteinProfile, n_abs: int = 5, n_arg: int = 5, n_s: int = 3,

@@ -161,7 +161,7 @@ def _mp_phi_at_s(p, s):
     return cbar * xi * (span - xi) * (1 - a1 + xi) / (1 + xi)
 
 
-@pytest.mark.parametrize("s", [-41.9, -700.0])
+@pytest.mark.parametrize("s", [-41.9, -700.0, -709.0])
 def test_deep_lower_tail_gives_a_form_matching_mpmath(s):
     # at (1, 1.0), s = -41.9 already puts tau - 1 below the spacing of
     # doubles at 1, so tau rounds onto the root; phi is formed from the
@@ -180,11 +180,13 @@ def test_deep_lower_tail_gives_a_form_matching_mpmath(s):
         assert abs(g.g_ww - want) <= 2.0 * abs(s) * sys.float_info.epsilon * want
 
 
-def test_positivity_error_once_sigma_underflows():
-    # at s = -760, sigma(q) = exp(-760) is below the smallest double, so
-    # phi is 0 and the form is singular
+@pytest.mark.parametrize("s", [-740.0, -745.0, -760.0])
+def test_positivity_error_once_phi_leaves_the_normal_range(s):
+    # below about s = -709 at (1, 1.0) and z = 0, sigma(q) = exp(s) is
+    # subnormal and phi keeps too few digits (g_ww would be 0.7% off at
+    # s = -740 and twice the true value at -745); at -760 it is 0
     p, m = rigid()
-    pt = ChartPoint(z=0.0 + 0.0j, w=complex(math.exp(-0.5 * 760.0)))
+    pt = ChartPoint(z=0.0 + 0.0j, w=complex(math.exp(0.5 * s)))
     with pytest.raises(PositivityError):
         metric_at(p, m, pt)
 
@@ -263,15 +265,31 @@ def test_einstein_residual_rejects_empty_grid():
 
 
 def test_ricci_fd_stencil_size(monkeypatch):
-    # two step sizes of 25 log-det points each: the centre, two per axis and
-    # four for each of the (u, th) x (x, y) pairs that L_Wzbar reads
+    # the log-chart form does not depend on arg w, so the stencil steps only
+    # in (u, x, y): per step size 6 axis points and 4 for each of the pairs
+    # (u, x) and (u, y) that L_Wzbar reads, over two step sizes that share
+    # the centre, all straight from the kernel and none through metric_at
     calls = []
-    true_metric = geometry.metric_at
-    monkeypatch.setattr(geometry, "metric_at",
-                        lambda *args: calls.append(args) or true_metric(*args))
+    kernel = geometry._log_chart_form
+    monkeypatch.setattr(geometry, "_log_chart_form",
+                        lambda *args: calls.append(args) or kernel(*args))
+    monkeypatch.setattr(geometry, "metric_at", None)
     p, m = rigid()
     ricci_fd(p, m, ChartPoint(z=0.3 + 0.1j, w=0.7 + 0.0j))
-    assert len(calls) == 50
+    assert len(calls) == 29
+
+
+@pytest.mark.parametrize("step", [400.0, 800.0])
+def test_ricci_fd_large_steps_give_a_form_or_a_kee_error(step):
+    # a step in u = log|w| moves s by 2 step, and at 800 exp(u) is past
+    # the largest double, so the stencil must never form w from u
+    p = make_profile(1, 0.5)
+    m = build_map(p)
+    try:
+        form = ricci_fd(p, m, ChartPoint(z=0.3 + 0.1j, w=0.7 + 0.0j), step=step)
+    except KeeError:
+        return
+    assert isinstance(form, geometry.HermitianForm2)
 
 
 def test_fiber_length_small_angle_near_asymptote():
