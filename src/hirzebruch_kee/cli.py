@@ -126,24 +126,11 @@ def _build_parser() -> _Parser:
 
     for sp in sub.choices.values():
         sp.add_argument("--format", dest="output_format", choices=("json", "csv"),
-                        default=None, help="report format (default json)")
-        sp.add_argument("--out", dest="output_path", default=None, metavar="FMT_OR_PATH",
-                        help="either a format name (json/csv) or an output file path")
+                        default=None, help="report format (default csv for a .csv --out "
+                                           "path, else json)")
+        sp.add_argument("--out", dest="output_path", default=None, metavar="PATH",
+                        help="write the report to PATH (default stdout)")
     return parser
-
-
-def _resolve_output(fmt: str | None, out: str | None) -> tuple[str, str | None]:
-    path = None
-    if out is not None:
-        if out in ("json", "csv"):
-            fmt = fmt or out
-        else:
-            path = out
-            if fmt is None and path.lower().endswith(".csv"):
-                fmt = "csv"
-            elif fmt is None and path.lower().endswith(".json"):
-                fmt = "json"
-    return fmt or "json", path
 
 
 def parse(argv) -> argparse.Namespace:
@@ -152,7 +139,9 @@ def parse(argv) -> argparse.Namespace:
     Each flag validates itself through its type=; only the checks that
     tie two flags together run here."""
     ns = _build_parser().parse_args(list(argv))
-    ns.output_format, ns.output_path = _resolve_output(ns.output_format, ns.output_path)
+    if ns.output_format is None:
+        to_csv = ns.output_path is not None and ns.output_path.lower().endswith(".csv")
+        ns.output_format = "csv" if to_csv else "json"
     beta1s = [getattr(ns, k) for k in ("beta1", "beta1_min", "beta1_max") if hasattr(ns, k)]
     for beta1 in beta1s + list(getattr(ns, "beta1_list", ())):
         try:
@@ -201,7 +190,7 @@ def _run_verify(cfg: argparse.Namespace):
     taus = linspace(1.0, p.alpha2, 1002)[1:-1]
     ode_max = max_keep_nan([abs(ode_residual(p, t)) for t in taus])
 
-    grid = geometry.chart_grid(p, n_abs=cfg.grid, n_arg=cfg.grid, n_s=3)
+    grid = geometry.chart_grid(p, cfg.grid)
     defects = []
     for pt in grid:
         g = geometry.metric_at(p, m, pt)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .errors import DomainError
-from .profile import make_profile
+from .profile import _validate_n, _validate_n_beta1, make_profile
 
 Coeff = Rational | float
 
@@ -36,8 +36,7 @@ class DivisorClass:
     b: Coeff
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"surface index must be a positive integer, got {self.n!r}")
+        _validate_n(self.n)
         object.__setattr__(self, "a", _as_coeff(self.a))
         object.__setattr__(self, "b", _as_coeff(self.b))
 
@@ -114,14 +113,14 @@ def kee_class(n: int, beta1: float, beta2: float) -> DivisorClass:
     Equals c*Z_inf - Z with c = (2 + n beta2)/(2 - n beta1), i.e. in the
     (Z, F) basis a = n(beta1 + beta2)/(2 - n beta1), b = n(2 + n beta2)/
     (2 - n beta1).  Coefficients are generically irrational, so this class
-    is built with floats (exactness waived here by design).
+    is built with floats (exactness waived here by design).  (n, beta1) must
+    be a valid profile's, and 0 < beta2 <= beta1 as for every profile.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"surface index must be a positive integer, got {n!r}")
+    _validate_n_beta1(n, beta1)
     beta1, beta2 = float(beta1), float(beta2)
+    if not 0.0 < beta2 <= beta1:
+        raise DomainError(f"need 0 < beta2 <= beta1, got beta1={beta1}, beta2={beta2}")
     den = 2.0 - n * beta1
-    if den <= 0.0:
-        raise DomainError(f"need n*beta1 < 2, got n={n}, beta1={beta1}")
     return DivisorClass(n, n * (beta1 + beta2) / den, n * (2.0 + n * beta2) / den)
 
 

@@ -23,7 +23,8 @@ class QuadratureError(KeeError, RuntimeError):
 
 
 class PositivityError(KeeError, RuntimeError):
-    """A metric evaluation produced a non positive-definite form.
+    """A metric evaluation produced a non positive-definite form, or a
+    form with an entry outside the double range.
 
     Positivity holds identically on the open surface, so hitting this
     signals a bug, a deliberately inconsistent profile, or a point so deep
@@ -31,6 +32,10 @@ class PositivityError(KeeError, RuntimeError):
     phi is formed from the map's stretched coordinate q and is refused once
     it falls below the normal doubles, where it keeps too few digits to be
     trusted: at (n, beta1) = (1, 1.0) and z = 0, for s below about -709.
+    The metric and the finite-difference Ricci form are both refused when
+    an entry overflows in the w chart (at (1, 0.01), z = 0, w = 1e-170,
+    g_ww = phi/|w|^2 is inf); only the metric is also tested for
+    positivity.
     """
 
 

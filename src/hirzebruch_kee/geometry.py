@@ -13,11 +13,13 @@ with the exact determinant identity det g * |w|^2 (1+|z|^2)^2 = n tau phi.
 In the log chart (W = log w, z) the same metric reads g_WW = phi,
 g_Wz = n phi z/(1+|z|^2) and the same g_zz: functions of s and z alone,
 with no power of |w| and no arg w, as the fiber rotation invariance of the
-Calabi ansatz requires.  One kernel assembles that form; metric_at maps it
-to the w chart, and the Ricci form is recovered from it purely numerically
-as -dd^c log det g, by central second differences in (log|w|, Re z, Im z)
-with Richardson extrapolation, and compared against lam * g.  Nothing of
-the closed-form curvature enters that check, which is the point.
+Calabi ansatz requires.  One kernel assembles that form, and the Ricci
+form is recovered from it purely numerically as -dd^c log det g, by
+central second differences in (log|w|, Re z, Im z) with Richardson
+extrapolation, and compared against lam * g.  Nothing of the closed-form
+curvature enters that check, which is the point.  Both the metric and the
+Ricci form leave the log chart through one map to the w chart, which
+refuses an entry that overflows.
 
 Restricted to a fiber the metric is dtau^2/(2 phi) + 2 phi dtheta^2, so the
 radial arclength element is dtau/sqrt(2 phi).  The factor 2 is kept exactly
@@ -30,7 +32,9 @@ Every value of phi at a fiber point comes from the map's stretched
 coordinate q (legendre.tau_phi_of_s), never from a rounded tau, and the two
 volumes are integrals over the whole q-line: the fiber area is 2 pi times
 the integral of phi ds, and the total volume 2 n (2 pi)^2 times that of
-tau phi ds, each by the checked trapezoid rule of `quadrature`.
+tau phi ds, each by the checked trapezoid rule of `quadrature`.  Their
+integrands read tau, phi and ds/dq from legendre._at_q, the same one
+evaluation of the map at q that the Newton solve uses.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from dataclasses import dataclass
 
 from ._floats import linspace, max_keep_nan
 from .errors import DomainError, PositivityError
-from .legendre import TauSMap, _dsdq, _tau_phi_at_q, tau_phi_of_s
-from .profile import EinsteinProfile, eval_phi
+from .legendre import TauSMap, _at_q, tau_phi_of_s
+from .profile import EinsteinProfile, _checked_tau, eval_phi
 from .quadrature import quad_checked
 
 
@@ -107,16 +111,26 @@ class HermitianForm2:
                              abs(self.g_zz - other.g_zz)])
 
 
-def _over_abs2(x: float, w: complex) -> float:
-    """x / |w|^2 without the errors of abs(w) ** 2 on valid chart points.
+def _to_w_chart(f: HermitianForm2, w: complex) -> HermitianForm2:
+    """A form in the log chart (W = log w, z) written in the w chart.
 
-    The product |w| |w| rounds exactly as abs(w) ** 2 does, but overflows
-    to inf instead of raising OverflowError; below the normal range, where
-    it would lose digits or divide by zero, |w| is divided out twice.
+    d/dw = (1/w) d/dW gives g_ww = f_WW/|w|^2 and g_wz = f_Wz/w; g_zz is
+    unchanged.  The product |w| |w| rounds exactly as abs(w) ** 2 does, but
+    overflows to inf instead of raising OverflowError; below the normal
+    range, where it would lose digits or divide by zero, |w| is divided out
+    twice.  PositivityError is raised unless every entry is finite: near
+    the zero section an entry can overflow (at z = 0, |w| = 1e-170 at
+    (n, beta1) = (1, 0.01), g_ww is inf while g_wz is 0, so the
+    determinant is inf and would pass a positivity test).
     """
     aw = abs(w)
     aw2 = aw * aw
-    return x / aw2 if aw2 >= sys.float_info.min else x / aw / aw
+    g_ww = f.g_ww / aw2 if aw2 >= sys.float_info.min else f.g_ww / aw / aw
+    g_wz = f.g_wz / w
+    if not (math.isfinite(g_ww) and cmath.isfinite(g_wz) and math.isfinite(f.g_zz)):
+        raise PositivityError(f"form leaves the double range in the w chart at w={w}: "
+                              f"g_ww={g_ww}, g_wz={g_wz}, g_zz={f.g_zz}")
+    return HermitianForm2(g_ww, g_wz, f.g_zz)
 
 
 def _log_chart_form(p: EinsteinProfile, m: TauSMap, s: float, z: complex) -> HermitianForm2:
@@ -144,17 +158,16 @@ def _log_chart_form(p: EinsteinProfile, m: TauSMap, s: float, z: complex) -> Her
 def metric_at(p: EinsteinProfile, m: TauSMap, pt: ChartPoint) -> HermitianForm2:
     """Kahler metric at a chart point, in the (w, z) basis.
 
-    The log-chart form at s = chart_s(pt) mapped by d/dw = (1/w) d/dW:
-    g_ww = g_WW/|w|^2 and g_wz = g_Wz/w.  phi comes from the map's q, so
-    the form keeps its digits where tau has rounded onto a root: at
-    (n, beta1) = (1, 1.0) and z = 0 that is every s below about -37.7, and
-    s = -700 still gives an accurate form.  PositivityError is raised where
-    phi leaves the normal double range (s below about -709 there), or where
-    an entry overflows or underflows so that the form is no longer positive
-    in floating point.
+    The log-chart form at s = chart_s(pt), taken to the w chart by
+    _to_w_chart.  phi comes from the map's q, so the form keeps its digits
+    where tau has rounded onto a root: at (n, beta1) = (1, 1.0) and z = 0
+    that is every s below about -37.7, and s = -700 still gives an accurate
+    form.  PositivityError is raised where phi leaves the normal double
+    range (s below about -709 there), where an entry overflows, or where an
+    entry underflows so that the form is no longer positive in floating
+    point.
     """
-    f = _log_chart_form(p, m, chart_s(p.n, pt), pt.z)
-    form = HermitianForm2(g_ww=_over_abs2(f.g_ww, pt.w), g_wz=f.g_wz / pt.w, g_zz=f.g_zz)
+    form = _to_w_chart(_log_chart_form(p, m, chart_s(p.n, pt), pt.z), pt.w)
     if not (form.g_ww > 0.0 and form.det() > 0.0):
         raise PositivityError(f"metric lost positivity at z={pt.z}, w={pt.w}: "
                               f"g_ww={form.g_ww}, det={form.det()}")
@@ -179,7 +192,9 @@ def ricci_fd(p: EinsteinProfile, m: TauSMap, pt: ChartPoint,
     log|w|^2 = W + Wbar, the difference between the two charts' log det,
     is pluriharmonic and drops out.  The differences are Richardson-
     extrapolated over steps (h, h/2), cancelling the O(h^2) truncation, and
-    the Hessian in W is mapped back to w (d/dw = (1/w) d/dW).  The ratio to
+    the Hessian in W goes to the w chart by _to_w_chart, which refuses an
+    entry that overflows but, unlike metric_at, tests no positivity: the
+    Ricci form of a tampered profile need not be positive.  The ratio to
     the centre keeps each value near 0, where its rounding is about eps;
     the constant it removes cancels in every difference.
     """
@@ -209,23 +224,23 @@ def ricci_fd(p: EinsteinProfile, m: TauSMap, pt: ChartPoint,
     a = hessian(step)
     b = hessian(0.5 * step)
     l_ww, l_wz, l_zz = ((4.0 * bb - aa) / 3.0 for aa, bb in zip(a, b))
-    return HermitianForm2(g_ww=_over_abs2(-l_ww, pt.w), g_wz=-l_wz / pt.w, g_zz=-l_zz)
+    return _to_w_chart(HermitianForm2(-l_ww, -l_wz, -l_zz), pt.w)
 
 
-def chart_grid(p: EinsteinProfile, n_abs: int = 5, n_arg: int = 5, n_s: int = 3,
-               s_lo: float = -2.0, s_hi: float = 2.0) -> list[ChartPoint]:
-    """Deterministic interior grid in (|z|, arg z, s) for residual sweeps.
+def chart_grid(p: EinsteinProfile, size: int = 5) -> list[ChartPoint]:
+    """Deterministic interior grid of size x size x 3 points in (|z|, arg z, s).
 
+    size values of |z| in [0.2, 1.5], size of arg z, and s in (-2, 0, 2).
     |w| is solved from the target s, so the points sample the s-range evenly
     regardless of n; arg w is held fixed (the metric entries depend on it
     only through phases that the Einstein comparison sees anyway).
     """
     pts = []
-    for zabs in linspace(0.2, 1.5, n_abs):
-        for k in range(n_arg):
-            zarg = 0.15 + 2.0 * math.pi * k / n_arg
+    for zabs in linspace(0.2, 1.5, size):
+        for k in range(size):
+            zarg = 0.15 + 2.0 * math.pi * k / size
             z = cmath.rect(zabs, zarg)
-            for s in linspace(s_lo, s_hi, n_s):
+            for s in (-2.0, 0.0, 2.0):
                 logw2 = s - p.n * _log1p_abs2(z)
                 w = cmath.rect(math.exp(0.5 * logw2), 0.4)
                 pts.append(ChartPoint(z=z, w=w))
@@ -334,12 +349,9 @@ def fiber_length(p: EinsteinProfile, tau_a: float, tau_b: float) -> float:
     upper form cancels at most half of its R_F term.  Anchored at alpha2
     from a point near 1, the two would cancel to about 1/sqrt(alpha2).
     """
-    tol = 16.0 * math.ulp(max(1.0, p.alpha2))
-    a, b = float(tau_a), float(tau_b)
-    if not (1.0 - tol <= a <= b <= p.alpha2 + tol):
-        raise DomainError(f"need 1 <= tau_a <= tau_b <= alpha2, got [{tau_a}, {tau_b}]")
-    a = min(max(a, 1.0), p.alpha2)
-    b = min(max(b, 1.0), p.alpha2)
+    a, b = _checked_tau(p, tau_a), _checked_tau(p, tau_b)
+    if a > b:
+        raise DomainError(f"need tau_a <= tau_b, got [{tau_a}, {tau_b}]")
     if a == b:
         return 0.0
     scale = math.sqrt(2.0 / (-p.leading * p.alpha2 * (1.0 - p.alpha1)))
@@ -379,7 +391,8 @@ def fiber_volume(p: EinsteinProfile) -> float:
     checks both against that closed form.
     """
     def density(q):
-        return _tau_phi_at_q(p, q)[1] * _dsdq(p, q)
+        _, phi, dsdq, _ = _at_q(p, q)
+        return phi * dsdq
 
     return 2.0 * math.pi * quad_checked(density)
 
@@ -395,7 +408,7 @@ def total_volume(p: EinsteinProfile) -> float:
     enters this package.  Taken in q like `fiber_volume`.
     """
     def density(q):
-        tau, phi = _tau_phi_at_q(p, q)
-        return tau * phi * _dsdq(p, q)
+        tau, phi, dsdq, _ = _at_q(p, q)
+        return tau * phi * dsdq
 
     return 2.0 * p.n * (2.0 * math.pi) ** 2 * quad_checked(density)

@@ -57,6 +57,12 @@ solve, and the slopes A and B give the start on either side of the gauge
 point tau0 = (1 + alpha2)/2, where s = 0.  Started there, Newton settles
 within 5 steps for |s| up to 1e305 (checked at every power of ten on eight
 profiles and at 80,000 random (n, beta1, s) draws).
+
+One private function, _at_q, evaluates the map at q: tau, phi, ds/dq and
+the bracket C multiplies, all from one exp(-|q|).  Each Newton step makes
+one such evaluation, and tau_phi_of_s, tau_of_s, s_of_tau, build_map,
+log_slope_at_end and both volume integrands in `geometry` read it too, so
+the closed form s(q) is written once, in _s_at_q.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
-from .profile import EinsteinProfile
+from .profile import EinsteinProfile, _checked_tau
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,25 +92,28 @@ class TauSMap:
     c0: float
 
 
-def _sigma(q: float) -> float:
-    """Stable logistic 1/(1 + exp(-q))."""
-    t = math.exp(-abs(q))
-    return 1.0 / (1.0 + t) if q >= 0.0 else t / (1.0 + t)
+def _at_q(p: EinsteinProfile, q: float) -> tuple[float, float, float, float]:
+    """(tau, phi, ds/dq, log(tau - alpha1) + softplus(q)) at the stretched
+    coordinate q: the one evaluation of the map there.
 
-
-def _tau_phi_at_q(p: EinsteinProfile, q: float) -> tuple[float, float]:
-    """(tau, phi) at the stretched coordinate q: the package's one phi.
-
-    tau - 1, alpha2 - tau and tau - alpha1 are formed from q, never as a
-    difference of tau and a root, so phi keeps its relative accuracy until
-    sigma(q) or sigma(-q) underflows, near |q| = 745.
+    sigma(q) and sigma(-q) come from one t = exp(-|q|), and tau - 1,
+    alpha2 - tau and tau - alpha1 are formed from them, never as a
+    difference of tau and a root, so phi keeps its relative accuracy as
+    long as it is a normal double (at beta1 = 1 until |q| is about 708; at
+    small beta1 the factor (alpha2 - 1)^2 brings that point closer).  In
+    ds/dq the root factors of phi cancel exactly; the last value is the
+    bracket that C multiplies in s(q).
     """
+    t = math.exp(-abs(q))
+    big, small = 1.0 / (1.0 + t), t / (1.0 + t)     # sigma(|q|), sigma(-|q|)
+    sig, sig_neg = (big, small) if q >= 0.0 else (small, big)
     span = p.alpha2 - 1.0
-    xi = span * _sigma(q)
-    rho = span * _sigma(-q)
-    d2 = (1.0 - p.alpha1) + xi
+    xi = span * sig
+    d2 = (1.0 - p.alpha1) + xi          # tau - alpha1, no cancellation
     tau = 1.0 + xi
-    return tau, -p.leading * xi * rho * d2 / tau
+    cbar = -p.leading
+    phi = cbar * xi * (span * sig_neg) * d2 / tau
+    return tau, phi, tau / (span * cbar * d2), math.log(d2) + max(q, 0.0) + math.log1p(t)
 
 
 def _q_from_tau(p: EinsteinProfile, tau: float) -> float:
@@ -114,22 +123,6 @@ def _q_from_tau(p: EinsteinProfile, tau: float) -> float:
         # the map covers an open interval; s diverges at both endpoints
         raise RangeError(f"tau={tau} not interior to (1, {p.alpha2}); s is unbounded there")
     return math.log(xi) - math.log(rho)
-
-
-def _dsdq(p: EinsteinProfile, q: float) -> float:
-    """Analytic density ds/dq; the root factors of phi cancel exactly."""
-    span = p.alpha2 - 1.0
-    sig = _sigma(q)
-    tau = 1.0 + span * sig
-    d2 = (1.0 - p.alpha1) + span * sig    # tau - alpha1, no cancellation
-    cbar = -p.leading
-    return tau / (span * cbar * d2)
-
-
-def _c_term(p: EinsteinProfile, q: float) -> float:
-    """log(tau - alpha1) + softplus(q), the bracket C multiplies."""
-    d2 = (1.0 - p.alpha1) + (p.alpha2 - 1.0) * _sigma(q)
-    return math.log(d2) + max(q, 0.0) + math.log1p(math.exp(-abs(q)))
 
 
 def build_map(p: EinsteinProfile) -> TauSMap:
@@ -142,17 +135,18 @@ def build_map(p: EinsteinProfile) -> TauSMap:
     d12 = p.alpha2 - p.alpha1
     return TauSMap(profile=p, tau0=tau0, q0=q0,
                    a=1.0 / (cbar * span * d1), b=p.alpha2 / (cbar * span * d12),
-                   c=-p.alpha1 / (cbar * d1 * d12), c0=_c_term(p, q0))
+                   c=-p.alpha1 / (cbar * d1 * d12), c0=_at_q(p, q0)[3])
 
 
-def _s_at_q(m: TauSMap, q: float) -> float:
-    """The closed form s(q), zero at the gauge point q0."""
-    return m.a * (q - m.q0) + m.c * (_c_term(m.profile, q) - m.c0)
+def _s_at_q(m: TauSMap, q: float) -> tuple[float, float]:
+    """The closed form s(q), zero at the gauge point q0, and its slope ds/dq."""
+    _, _, dsdq, c_term = _at_q(m.profile, q)
+    return m.a * (q - m.q0) + m.c * (c_term - m.c0), dsdq
 
 
 def s_of_tau(m: TauSMap, tau: float) -> float:
     """Log-norm coordinate of a momentum value in the open interval (1, alpha2)."""
-    return _s_at_q(m, _q_from_tau(m.profile, float(tau)))
+    return _s_at_q(m, _q_from_tau(m.profile, float(tau)))[0]
 
 
 def _q_of_s(m: TauSMap, s: float) -> float:
@@ -163,12 +157,13 @@ def _q_of_s(m: TauSMap, s: float) -> float:
     lo, hi = m.q0 - reach, m.q0 + reach   # bracket with F(lo) <= 0 <= F(hi)
     q = m.q0 + s / (m.a if s < 0.0 else m.b)
     for _ in range(60):
-        f = _s_at_q(m, q) - s
+        s_q, dsdq = _s_at_q(m, q)
+        f = s_q - s
         if f < 0.0:
             lo = q
         else:
             hi = q
-        qn = q - f / _dsdq(m.profile, q)
+        qn = q - f / dsdq
         if not lo <= qn <= hi:
             qn = 0.5 * (lo + hi)
         if abs(qn - q) <= 1e-12 * (1.0 + abs(q)):
@@ -179,12 +174,12 @@ def _q_of_s(m: TauSMap, s: float) -> float:
 
 def tau_phi_of_s(m: TauSMap, s: float) -> tuple[float, float]:
     """Momentum value and profile value (tau, phi) at a finite s."""
-    return _tau_phi_at_q(m.profile, _q_of_s(m, s))
+    return _at_q(m.profile, _q_of_s(m, s))[:2]
 
 
 def tau_of_s(m: TauSMap, s: float) -> float:
     """Momentum value at a finite log-norm coordinate."""
-    return _tau_phi_at_q(m.profile, _q_of_s(m, s))[0]
+    return _at_q(m.profile, _q_of_s(m, s))[0]
 
 
 def log_slope_at_end(m: TauSMap, end: str, s_probe: float) -> float:
@@ -204,11 +199,11 @@ def log_slope_at_end(m: TauSMap, end: str, s_probe: float) -> float:
         raise DomainError(f"end={end!r} expects s of the {'negative' if end == 'lower' else 'positive'} sign")
     q = _q_of_s(m, s_probe)
     p = m.profile
-    tau, phi = _tau_phi_at_q(p, q)
+    tau, phi, dsdq, _ = _at_q(p, q)
     # log phi = log sigma(q) + log sigma(-q) + log(tau - alpha1) - log tau
     # + const, whose q-derivative is sigma(-q) - sigma(q) = -tanh(q/2) plus
     # alpha1 dtau/dq / ((tau - alpha1) tau); dtau/dq = phi ds/dq
-    return -math.tanh(0.5 * q) / _dsdq(p, q) + p.alpha1 * phi / ((tau - p.alpha1) * tau)
+    return -math.tanh(0.5 * q) / dsdq + p.alpha1 * phi / ((tau - p.alpha1) * tau)
 
 
 def y_of_tau(p: EinsteinProfile, tau: float) -> float:
@@ -217,10 +212,7 @@ def y_of_tau(p: EinsteinProfile, tau: float) -> float:
     Centered at the small-angle fiber midpoint and scaled so the fiber stays
     order-one as beta1 -> 0; y(1) = -1/beta1 exactly.
     """
-    tau = float(tau)
-    tol = 16.0 * math.ulp(max(1.0, p.alpha2))
-    if not 1.0 - tol <= tau <= p.alpha2 + tol:
-        raise DomainError(f"tau={tau} outside [1, {p.alpha2}]")
+    tau = _checked_tau(p, tau)
     nb = p.n * p.beta1
     return (tau - 1.0 - 0.5 * nb) / (0.5 * nb * p.beta1)
 

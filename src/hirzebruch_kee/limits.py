@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .geometry import ChartPoint, fiber_length, fs_pullback, metric_at
 from .legendre import build_map, tau_of_y
-from .profile import EinsteinProfile, eval_phi, make_profile
+from .profile import EinsteinProfile, _validate_n, _validate_n_beta1, eval_phi, make_profile
 
 _DEFAULT_PROBE = ChartPoint(z=0.5 + 0.0j, w=1.0 + 0.0j)
 
@@ -70,13 +70,12 @@ def rescaled_phi_y(n: int, beta1: float, y: float) -> float:
     Defined on the closed band |y| <= 1/beta1 (zero at the ends); agrees
     with the exact phi at tau_of_y(y) to O(beta1^3).
     """
-    p = make_profile(n, beta1)  # validates (n, beta1)
-    y = float(y)
-    tol = 16.0 * math.ulp(1.0 / beta1)
-    if abs(y) > 1.0 / p.beta1 + tol:
-        raise DomainError(f"|y|={abs(y)} exceeds the band edge 1/beta1={1.0 / beta1}")
-    by = p.beta1 * y
-    return ((2.0 - n * p.beta1) / (2.0 * n)) * (n * p.beta1) ** 2 / 4.0 * (1.0 - by * by)
+    _validate_n_beta1(n, beta1)
+    beta1, y = float(beta1), float(y)
+    if not abs(y) <= 1.0 / beta1 + 16.0 * math.ulp(1.0 / beta1):
+        raise DomainError(f"y={y} outside the band |y| <= 1/beta1={1.0 / beta1}")
+    by = beta1 * y
+    return ((2.0 - n * beta1) / (2.0 * n)) * (n * beta1) ** 2 / 4.0 * (1.0 - by * by)
 
 
 def rescaled_fiber_metric(n: int, beta1: float, y: float) -> tuple[float, float]:
@@ -102,8 +101,7 @@ def tensor_deviation(p: EinsteinProfile, m, pt: ChartPoint) -> float:
 
 def fiber_length_asymptote(n: int) -> float:
     """Limit of the full fiber length as beta1 -> 0: pi sqrt(n/2)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _validate_n(n)
     return math.pi * math.sqrt(n / 2.0)
 
 

@@ -85,11 +85,15 @@ class EinsteinProfile:
         return self.angles.lam
 
 
+def _validate_n(n: int) -> None:
+    """The surface index: an integer n >= 1 (n = 0, the product, is out of scope)."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DomainError(f"n must be a positive integer (the n = 0 product case "
+                          f"is out of scope), got {n!r}")
+
+
 def _validate_n_beta1(n: int, beta1: float) -> None:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1 (the n = 0 product case is out of scope), got {n}")
+    _validate_n(n)
     beta1 = float(beta1)
     if not math.isfinite(beta1) or not 0.0 < beta1 <= 1.0 or n * beta1 >= 2.0:
         raise DomainError(f"{BETA1_CONSTRAINT}; got beta1={beta1} for n={n}")
@@ -159,14 +163,18 @@ def eval_phi_exact(n: int, beta1: Fraction, tau: Fraction) -> Fraction:
     """Exact rational evaluation of phi for rational beta1 and tau.
 
     Test-oriented path: no floating arithmetic anywhere, so the result is an
-    exact Fraction (e.g. n=1, beta1=1, tau=2 gives exactly 1/3).
+    exact Fraction (e.g. n=1, beta1=1, tau=2 gives exactly 1/3).  tau must
+    lie in [1, alpha2]; alpha2 is the larger root of t^2 - S t - S with
+    S = (1 + n beta1)/(2 - n beta1), so the test is exact too.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _validate_n(n)
     b = Fraction(beta1)
     t = Fraction(tau)
     if not 0 < b <= 1 or n * b >= 2:
         raise DomainError(f"{BETA1_CONSTRAINT}; got beta1={b} for n={n}")
+    ssum = (1 + n * b) / (2 - n * b)
+    if t < 1 or t * t - ssum * t - ssum > 0:
+        raise DomainError(f"tau={t} outside the momentum interval [1, alpha2]")
     return (t * t - 1) / (n * t) + (b - Fraction(2, n)) * (t ** 3 - 1) / (3 * t)
 
 

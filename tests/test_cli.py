@@ -36,10 +36,18 @@ def test_parse_rejects_bad_beta1_with_constraint():
     assert "beta1 must lie in (0, 2/n)" in str(err.value)
 
 
-def test_parse_limit_with_out_format_word():
-    cfg = parse(["limit", "--n", "2", "--beta1-seq", "0.2,0.1,0.05", "--out", "csv"])
+def test_parse_limit_with_out_format_word(tmp_path, monkeypatch):
+    # --out is only ever a path: a format word names a file, and the format
+    # comes from --format, else from a .csv suffix, else json
+    argv = ["limit", "--n", "2", "--beta1-seq", "0.2,0.1,0.05", "--out", "csv"]
+    cfg = parse(argv)
     assert cfg.command == "limit"
     assert cfg.beta1_list == (0.2, 0.1, 0.05)
+    assert cfg.output_format == "json" and cfg.output_path == "csv"
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert len(parse_json((tmp_path / "csv").read_bytes())["rows"]) == 3
+    cfg = parse(argv[:-2] + ["--format", "csv"])
     assert cfg.output_format == "csv" and cfg.output_path is None
 
 

@@ -14,7 +14,8 @@ from hirzebruch_kee import (ChartPoint, DomainError, KeeError, PositivityError,
                             build_map, chart_grid, chart_s, collapse_entry,
                             cone_angle_probe, einstein_residual, eval_phi, fiber_length,
                             fiber_volume, fs_pullback, make_profile, metric_at,
-                            ricci_fd, tau_of_s, tau_phi_of_s, total_volume)
+                            ricci_fd, tau_of_s, tau_phi_of_s, tensor_deviation,
+                            total_volume)
 from hirzebruch_kee import geometry
 from hirzebruch_kee.cli import main
 from hirzebruch_kee.cohomology import class_volume, kee_class
@@ -191,6 +192,19 @@ def test_positivity_error_once_phi_leaves_the_normal_range(s):
         metric_at(p, m, pt)
 
 
+@pytest.mark.parametrize("z, w", [(0.5, 8.8e-305), (0.0, 1e-170)])
+@pytest.mark.parametrize("evaluate", [metric_at, ricci_fd, tensor_deviation],
+                         ids=["metric_at", "ricci_fd", "tensor_deviation"])
+def test_w_chart_refuses_an_entry_that_overflows(evaluate, z, w):
+    # at (1, 0.01) phi is still normal this deep, but g_ww = phi/|w|^2 is
+    # inf; at z = 0 g_wz is 0, so det = inf would pass a positivity test,
+    # and an inf g_ww in the FD Ricci form would reach the Einstein residual
+    p = make_profile(1, 0.01)
+    m = build_map(p)
+    with pytest.raises(PositivityError, match="double range"):
+        evaluate(p, m, ChartPoint(z=complex(z), w=complex(w)))
+
+
 def test_rotation_invariance_extracts_same_profile_inputs():
     # points sharing s must see the same (tau, phi) regardless of how the
     # norm is split between |w| and |z| or where the phases sit
@@ -259,9 +273,9 @@ def test_einstein_residual_grid_and_detector():
 def test_einstein_residual_rejects_empty_grid():
     # a maximum over no points is no evidence, so it must not pass the gate
     p, m = rigid()
-    assert chart_grid(p, 0, 0) == []
+    assert chart_grid(p, 0) == []
     with pytest.raises(DomainError):
-        einstein_residual(p, m, chart_grid(p, 0, 0))
+        einstein_residual(p, m, chart_grid(p, 0))
 
 
 def test_ricci_fd_stencil_size(monkeypatch):

@@ -11,7 +11,7 @@ from hirzebruch_kee import (DomainError, RangeError, build_map, eval_phi,
                             log_slope_at_end, make_profile, s_of_tau,
                             tau_of_s, tau_of_y, y_of_tau)
 from hirzebruch_kee import legendre
-from hirzebruch_kee.legendre import _c_term, _q_of_s, _s_at_q
+from hirzebruch_kee.legendre import _at_q, _q_of_s, _s_at_q
 
 EPS = sys.float_info.epsilon
 
@@ -181,6 +181,28 @@ def test_log_slope_matches_mpmath(n, b1):
             assert abs(slope - want) <= 8.0 * EPS * abs(want), (s, slope)
 
 
+@pytest.mark.parametrize("n, b1", [(1, 1.0), (2, 1e-3), (1, 1e-6), (3, 1e-8),
+                                   (4, 0.4975)])
+def test_map_at_q_matches_mpmath(n, b1):
+    # (tau, phi, ds/dq, log(tau - alpha1) + softplus(q)) from the one
+    # evaluation of the map at q, against 40-digit values built from the
+    # stored roots, each within 4 eps of its value; a subnormal phi (at
+    # |q| = 700 for beta1 <= 1e-3) keeps only absolute accuracy, so there
+    # the bound is 4 eps of the smallest normal double; measured worst 1.5 eps
+    p = make_profile(n, b1)
+    for q in (0.0, 1.0, -1.0, 40.0, -40.0, 700.0, -700.0):
+        got = _at_q(p, q)
+        with mp.workdps(40):
+            a1, a2, cbar = mp.mpf(p.alpha1), mp.mpf(p.alpha2), -mp.mpf(p.leading)
+            xi, rho = (a2 - 1) / (1 + mp.exp(-q)), (a2 - 1) / (1 + mp.exp(q))
+            tau, d2 = 1 + xi, 1 - a1 + xi
+            want = (tau, cbar * xi * rho * d2 / tau, tau / ((a2 - 1) * cbar * d2),
+                    mp.log(d2) + mp.log1p(mp.exp(q)))
+            for name, g, w in zip(("tau", "phi", "dsdq", "c_term"), got, want):
+                tol = 4.0 * EPS * max(abs(w), sys.float_info.min)
+                assert abs(g - w) <= tol, (name, q, g, w)
+
+
 def test_deep_hull_all_angles():
     # near beta1 = 1 the profile hits the representability wall in tau;
     # queries at |s| = 40 must still resolve
@@ -202,19 +224,19 @@ def test_tau_of_s_on_whole_finite_line(n, b1, monkeypatch):
     # the map covers every finite s: at s = +-10^k up to 1e305 the solve in
     # q must reproduce s to the rounding of the terms s(q) sums, which is
     # about |s| once |s| >= 10, in at most 5 Newton steps, while tau stays
-    # in [1, alpha2] (it saturates at a root, which q does not)
-    steps = []
-    dsdq = legendre._dsdq
-    monkeypatch.setattr(legendre, "_dsdq", lambda p, q: steps.append(q) or dsdq(p, q))
+    # in [1, alpha2] (it saturates at a root, which q does not); each
+    # Newton step evaluates the map at q once
     p = make_profile(n, b1)
     m = build_map(p)
+    steps = []
+    monkeypatch.setattr(legendre, "_at_q", lambda p, q: steps.append(q) or _at_q(p, q))
     for k in range(306):
         for s in (10.0 ** k, -(10.0 ** k)):
             steps.clear()
             q = _q_of_s(m, s)
             assert len(steps) <= 5, (s, len(steps))
-            terms = abs(m.a * (q - m.q0)) + m.c * (abs(_c_term(p, q)) + abs(m.c0))
-            assert abs(_s_at_q(m, q) - s) <= 4.0 * EPS * terms, (s, q)
+            terms = abs(m.a * (q - m.q0)) + m.c * (abs(_at_q(p, q)[3]) + abs(m.c0))
+            assert abs(_s_at_q(m, q)[0] - s) <= 4.0 * EPS * terms, (s, q)
             assert 1.0 <= tau_of_s(m, s) <= p.alpha2
     for s in (math.inf, -math.inf, math.nan):
         with pytest.raises(RangeError):
@@ -230,7 +252,7 @@ def test_round_trip_at_hull_edges(edge):
     m = build_map(p)
     s = edge * 42.0
     q = _q_of_s(m, s)
-    assert abs(_s_at_q(m, q) - s) <= 1e-14 * abs(s)
+    assert abs(_s_at_q(m, q)[0] - s) <= 1e-14 * abs(s)
     assert 1.0 <= tau_of_s(m, s) <= p.alpha2
     beyond = math.nextafter(s, 2.0 * s)
     assert edge * (_q_of_s(m, beyond) - q) > 0.0

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import hirzebruch_kee as hk
 from hirzebruch_kee import (DomainError, eval_phi, eval_phi_exact,
                             eval_phi_prime, make_profile, ode_residual)
 from hirzebruch_kee.profile import eval_phi_expanded
@@ -199,3 +200,37 @@ def test_eval_phi_outside_domain():
         eval_phi(p, 0.99)
     with pytest.raises(DomainError):
         eval_phi(p, p.alpha2 + 1e-6)
+
+
+_RIGID = make_profile(1, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hk.kee_class(1, math.nan, 0.5),
+    lambda: hk.kee_class(1, 0.5, math.nan),
+    lambda: hk.kee_class(1, 1.5, 0.1),              # beta1 outside (0, 1]
+    lambda: hk.kee_class(1, 0.5, 0.6),              # beta2 > beta1
+    lambda: hk.kee_class(2, 0.5, 0.0),
+    lambda: hk.kee_class(True, 0.5, 0.4),
+    lambda: hk.DivisorClass(0, 1, 0),
+    lambda: hk.fiber_length_asymptote(1.0),
+    lambda: hk.rescaled_phi_y(1, 0.5, math.nan),
+    lambda: hk.rescaled_phi_y(1, math.nan, 0.0),
+    lambda: eval_phi_exact(1, Fraction(1, 2), Fraction(0)),
+    lambda: eval_phi_exact(1, Fraction(1, 2), Fraction(9, 10)),
+    lambda: eval_phi_exact(1, Fraction(1, 2), Fraction(17, 10)),   # alpha2 = 1.618...
+    lambda: eval_phi_exact(0, Fraction(1, 2), Fraction(1)),
+    lambda: hk.fiber_length(_RIGID, math.nan, 1.5),
+    lambda: hk.fiber_length(_RIGID, 1.5, math.inf),
+    lambda: hk.y_of_tau(_RIGID, math.nan),
+    lambda: hk.y_of_tau(_RIGID, _RIGID.alpha2 + 1e-9),
+], ids=["kee-nan-beta1", "kee-nan-beta2", "kee-beta1-out", "kee-beta2-above-beta1",
+        "kee-beta2-zero", "kee-bool-n", "class-n0", "asymptote-float-n", "rescaled-nan-y",
+        "rescaled-nan-beta1", "exact-tau0", "exact-below-1", "exact-above-alpha2",
+        "exact-n0", "length-nan", "length-inf", "y-nan", "y-above-alpha2"])
+def test_domain_checks_refuse_bad_input(call):
+    # every input domain is checked in profile, so NaN, inf, an angle out of
+    # range or a momentum off [1, alpha2] raise DomainError, never return
+    # NaN or raise ZeroDivisionError
+    with pytest.raises(DomainError):
+        call()
