@@ -6,8 +6,10 @@ header row, every float serialized with 17 significant digits so that
 parsing the report reproduces the computed doubles exactly.  Output is byte
 deterministic: rows are sorted by (n, beta1), key order is fixed, sweeps
 run serially, and no environment variable is read.  Exit codes: 0 success,
-1 a verification residual exceeded its threshold (or a numeric error was
-reported), 2 usage error, 3 I/O error.
+1 a row has status "fail" (a verification residual exceeded its threshold)
+or the report is an error row (a numeric error), 2 usage error, 3 I/O
+error.  The exit status is read off the rows, so it always agrees with the
+report.
 
 The argparse parser is the one declaration of each flag: its name, default
 and validator (a type= callable).  The parsed namespace is the run
@@ -76,14 +78,9 @@ def _int_at_least(k: int):
 def _ladder(text: str) -> tuple[float, ...]:
     """A type= callable: a comma-separated, strictly decreasing beta1 ladder."""
     try:
-        seq = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"could not parse {text!r}") from None
-    if not seq:
-        raise argparse.ArgumentTypeError("must list at least one value")
-    if any(b2 >= b1 for b1, b2 in zip(seq, seq[1:])):
-        raise argparse.ArgumentTypeError(f"must decrease strictly, got {list(seq)}")
-    return seq
+        return limits._checked_ladder(tok for tok in text.split(",") if tok.strip())
+    except ValueError as exc:       # a token that is no float, or a DomainError
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -174,13 +171,13 @@ def _run_solve(cfg: argparse.Namespace):
     if cfg.emit_profile:
         for tau in linspace(1.0, p.alpha2, cfg.emit_profile):
             rows.append(_solve_row(cfg, p, kind="profile", tau=tau))
-    return rows, 0
+    return rows
 
 
 def _run_scan(cfg: argparse.Namespace):
     spaced = geomspace if cfg.log_grid else linspace
     grid = spaced(cfg.beta1_min, cfg.beta1_max, cfg.count)
-    return [_solve_row(cfg, make_profile(cfg.n, beta1)) for beta1 in grid], 0
+    return [_solve_row(cfg, make_profile(cfg.n, beta1)) for beta1 in grid]
 
 
 def _run_verify(cfg: argparse.Namespace):
@@ -215,7 +212,7 @@ def _run_verify(cfg: argparse.Namespace):
         "einstein_residual_max": einstein_max, "einstein_threshold": EINSTEIN_THRESHOLD,
         "status": "pass" if ok else "fail",
     }
-    return [row], 0 if ok else 1
+    return [row]
 
 
 def _run_fiber(cfg: argparse.Namespace):
@@ -243,7 +240,7 @@ def _run_fiber(cfg: argparse.Namespace):
         "angle_threshold": ANGLE_THRESHOLD,
         "status": "pass" if ok else "fail",
     }
-    return [row], 0 if ok else 1
+    return [row]
 
 
 def _run_classes(cfg: argparse.Namespace):
@@ -275,7 +272,7 @@ def _run_classes(cfg: argparse.Namespace):
         "alpha2": p.alpha2, "alpha2_class_ratio_defect": ratio_defect,
         "status": "pass" if ok else "fail",
     }
-    return [row], 0 if ok else 1
+    return [row]
 
 
 def _run_limit(cfg: argparse.Namespace):
@@ -290,7 +287,7 @@ def _run_limit(cfg: argparse.Namespace):
         "rescaled_coeff_y": e.rescaled_coeff_y,
         "rescaled_coeff_theta": e.rescaled_coeff_theta,
         "tensor_deviation": e.tensor_deviation_at_probe,
-    } for e in report.entries], 0
+    } for e in report.entries]
 
 
 _RUNNERS = {
@@ -302,44 +299,33 @@ _RUNNERS = {
 def run(cfg: argparse.Namespace):
     """Execute a parsed namespace; returns (rows, exit_status).
 
-    Numeric failures inside a command become a structured error row with
-    exit status 1 rather than a traceback.
+    The exit status is read off the rows: 1 if any row has status "fail",
+    else 0.  A numeric failure inside a command becomes a structured error
+    row with exit status 1 rather than a traceback.
     """
     try:
-        rows, status = _RUNNERS[cfg.command](cfg)
+        rows = _RUNNERS[cfg.command](cfg)
     except KeeError as exc:
         return [{"command": cfg.command, "error": f"{type(exc).__name__}: {exc}"}], 1
     rows.sort(key=lambda r: (r.get("n", 0), r.get("beta1", 0.0)))
-    return rows, status
+    return rows, int(any(row.get("status") == "fail" for row in rows))
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _json_scalar(v) -> str:
+def _cell(v, as_json: bool) -> str:
+    """One report value as JSON or as a CSV cell; floats keep 17 digits."""
     if v is None:
-        return "null"
+        return "null" if as_json else ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
-        return str(v)
+        return str(v)       # .17g would print an int of 18 digits as 1e+17
     if isinstance(v, float):
-        # NaN and Infinity as Python's json module writes and reads them
-        return _fmt17(v) if math.isfinite(v) else json.dumps(v)
-    return json.dumps(str(v))
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return _fmt17(v)
-    return str(v)
+        if as_json and not math.isfinite(v):
+            return json.dumps(v)    # NaN and Infinity as Python's json reads them
+        return format(v, ".17g")
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(_cell(x, as_json) for x in v) + "]"
+    return json.dumps(str(v)) if as_json else str(v)
 
 
 def _meta(cfg: argparse.Namespace) -> dict:
@@ -349,53 +335,29 @@ def _meta(cfg: argparse.Namespace) -> dict:
                               if k not in ("output_format", "output_path")}}
 
 
-def render(records: list, output_format: str, meta: dict | None = None,
-           fieldnames: list | None = None) -> bytes:
+def render(records: list, output_format: str, meta: dict | None = None) -> bytes:
     """Serialize records deterministically (stable key order, 17-digit floats)."""
-    if fieldnames is None:
-        seen = {}
-        for row in records:
-            for key in row:
-                seen.setdefault(key, None)
-        fieldnames = list(seen)
+    # every key of every row, in order of first appearance
+    fieldnames = list(dict.fromkeys(key for row in records for key in row))
     if output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in records:
-            writer.writerow([_csv_cell(row.get(k)) for k in fieldnames])
+            writer.writerow([_cell(row.get(k), False) for k in fieldnames])
         return buf.getvalue().encode("utf-8")
     # hand-rolled JSON keeps float formatting and key order pinned down
     out = ["{\n  \"meta\": {"]
-    out.append(", ".join(f"{json.dumps(k)}: {_json_value(v)}"
+    out.append(", ".join(f"{json.dumps(k)}: {_cell(v, True)}"
                          for k, v in (meta or {}).items()))
     out.append("},\n  \"rows\": [\n")
     lines = []
     for row in records:
-        cells = ", ".join(f"{json.dumps(k)}: {_json_value(row.get(k))}" for k in fieldnames)
+        cells = ", ".join(f"{json.dumps(k)}: {_cell(row.get(k), True)}" for k in fieldnames)
         lines.append("    {" + cells + "}")
     out.append(",\n".join(lines))
     out.append("\n  ]\n}\n")
     return "".join(out).encode("utf-8")
-
-
-def _json_value(v) -> str:
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_value(x) for x in v) + "]"
-    return _json_scalar(v)
-
-
-def emit(records: list, output_format: str, output_path: str | None = None,
-         meta: dict | None = None) -> int:
-    """Write a rendered report to a path (or stdout); returns bytes written."""
-    payload = render(records, output_format, meta)
-    if output_path is None:
-        sys.stdout.write(payload.decode("utf-8"))
-        sys.stdout.flush()
-    else:
-        with open(output_path, "wb") as fh:
-            fh.write(payload)
-    return len(payload)
 
 
 def main(argv=None) -> int:
@@ -405,8 +367,14 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     rows, status = run(cfg)
+    payload = render(rows, cfg.output_format, meta=_meta(cfg))
     try:
-        emit(rows, cfg.output_format, cfg.output_path, meta=_meta(cfg))
+        if cfg.output_path is None:
+            sys.stdout.write(payload.decode("utf-8"))
+            sys.stdout.flush()
+        else:
+            with open(cfg.output_path, "wb") as fh:
+                fh.write(payload)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -48,6 +48,7 @@ _DEFAULT_PROBE = ChartPoint(z=0.5 + 0.0j, w=1.0 + 0.0j)
 
 def beta2_series(n: int, beta1: float, order: int = 2) -> float:
     """Small-angle series for beta2, truncated at the given order (1 or 2)."""
+    _validate_n_beta1(n, beta1)
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")
     if order == 1:
@@ -57,6 +58,7 @@ def beta2_series(n: int, beta1: float, order: int = 2) -> float:
 
 def alpha_series(n: int, beta1: float, which: str = "alpha2") -> float:
     """Second-order small-angle series for either non-unit root."""
+    _validate_n_beta1(n, beta1)
     if which == "alpha2":
         return 1.0 + n * beta1 + (n * beta1) ** 2 / 3.0
     if which == "alpha1":
@@ -143,12 +145,17 @@ def collapse_entry(n: int, beta1: float, probe: ChartPoint = _DEFAULT_PROBE) -> 
     )
 
 
+def _checked_ladder(beta1_list) -> tuple[float, ...]:
+    """The ladder as floats; DomainError unless it is non-empty and strictly decreasing."""
+    values = tuple(float(b) for b in beta1_list)
+    if not values:
+        raise DomainError("the beta1 ladder must list at least one value")
+    if any(b2 >= b1 for b1, b2 in zip(values, values[1:])):
+        raise DomainError(f"the beta1 ladder must decrease strictly, got {list(values)}")
+    return values
+
+
 def collapse_report(n: int, beta1_list, probe: ChartPoint = _DEFAULT_PROBE) -> CollapseReport:
     """Diagnostics along a strictly decreasing ladder of beta1 values."""
-    values = [float(b) for b in beta1_list]
-    if not values:
-        raise DomainError("beta1_list must be non-empty")
-    if any(b2 >= b1 for b1, b2 in zip(values, values[1:])):
-        raise DomainError(f"beta1_list must decrease strictly, got {values}")
-    entries = tuple(collapse_entry(n, b, probe=probe) for b in values)
+    entries = tuple(collapse_entry(n, b, probe=probe) for b in _checked_ladder(beta1_list))
     return CollapseReport(n=n, probe=probe, entries=entries)

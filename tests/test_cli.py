@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from hirzebruch_kee import UsageError
-from hirzebruch_kee.cli import emit, main, parse, render, run
+from hirzebruch_kee.cli import _meta, main, parse, render, run
+
+_DATA = Path(__file__).parent / "data"
 
 
 def parse_json(payload: bytes):
@@ -292,11 +295,6 @@ def test_render_csv_round_trip():
     assert doc[0]["tau"] == ""                           # blank for null
 
 
-def test_render_empty_csv_is_header_only():
-    payload = render([], "csv", fieldnames=["n", "beta1", "beta2"])
-    assert payload == b"n,beta1,beta2\n"
-
-
 def test_render_deterministic():
     cfg = parse(["scan", "--n", "1", "--beta1-min", "0.05",
                  "--beta1-max", "0.5", "--count", "7"])
@@ -306,12 +304,13 @@ def test_render_deterministic():
     assert render(rows1, "csv") == render(rows2, "csv")
 
 
-def test_emit_writes_file(tmp_path):
+def test_out_writes_the_rendered_report(tmp_path):
     target = tmp_path / "out.json"
-    cfg = parse(["solve", "--n", "1", "--beta1", "0.5"])
+    argv = ["solve", "--n", "1", "--beta1", "0.5"]
+    assert main(argv + ["--out", str(target)]) == 0
+    cfg = parse(argv)
     rows, _ = run(cfg)
-    nbytes = emit(rows, "json", str(target))
-    assert target.stat().st_size == nbytes
+    assert target.read_bytes() == render(rows, "json", meta=_meta(cfg))
     assert parse_json(target.read_bytes())["rows"]
 
 
@@ -346,20 +345,60 @@ def test_main_writes_json_to_stdout(capsys):
 
 def test_thread_env_is_ignored(monkeypatch, capsys):
     # sweeps are serial and nothing reads KEE_THREADS, whatever its value
-    argv = ["scan", "--n", "1", "--beta1-min", "0.1", "--beta1-max", "0.2", "--count", "2"]
-    monkeypatch.delenv("KEE_THREADS", raising=False)
-    assert main(argv) == 0
-    clean = capsys.readouterr()
-    for value in ("zero", "-3"):
-        monkeypatch.setenv("KEE_THREADS", value)
+    for argv in (["scan", "--n", "1", "--beta1-min", "0.1", "--beta1-max", "0.2", "--count", "2"],
+                 ["limit", "--n", "1", "--beta1-seq", "0.2,0.1,0.05"]):
+        monkeypatch.delenv("KEE_THREADS", raising=False)
         assert main(argv) == 0
-        assert capsys.readouterr() == clean
+        clean = capsys.readouterr()
+        for value in ("zero", "-3", "1", "4"):
+            monkeypatch.setenv("KEE_THREADS", value)
+            assert main(argv) == 0
+            assert capsys.readouterr() == clean
 
 
-def test_threaded_sweep_matches_serial(monkeypatch):
-    argv = ["limit", "--n", "1", "--beta1-seq", "0.2,0.1,0.05"]
-    monkeypatch.setenv("KEE_THREADS", "1")
-    rows1, _ = run(parse(argv))
-    monkeypatch.setenv("KEE_THREADS", "4")
-    rows4, _ = run(parse(argv))
-    assert render(rows1, "json") == render(rows4, "json")
+# Golden reports in tests/data.  Every number in them needs only + - * /
+# and sqrt (solve rows, a linear scan grid, an error message), so they are
+# correctly rounded on any platform and any change to a byte is a change to
+# the report format.
+_GOLDEN = {
+    "solve": ["solve", "--n", "1", "--beta1", "1.0"],
+    "solve_profile": ["solve", "--n", "1", "--beta1", "1.0", "--emit-profile", "9"],
+    "scan_linear": ["scan", "--n", "2", "--beta1-min", "0.05", "--beta1-max", "0.9",
+                    "--count", "20", "--linear"],
+    # the probe tau = 1.9 lies past alpha2 = 1.618...: a DomainError row
+    "fiber_error": ["fiber", "--n", "1", "--beta1", "0.5", "--probe-distance", "0.9"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_report_bytes_match_golden(name, fmt, tmp_path):
+    target = tmp_path / f"report.{fmt}"
+    status = main(_GOLDEN[name] + ["--format", fmt, "--out", str(target)])
+    assert status == (1 if name == "fiber_error" else 0)
+    assert target.read_bytes() == (_DATA / f"{name}.{fmt}").read_bytes()
+
+
+# the CSV header of each gated report, which fixes its column order
+_CSV_HEADERS = {
+    "verify": "command,n,beta1,grid,fd_step,beta2,lambda,ode_residual_max,ode_threshold,"
+              "det_defect_max,det_threshold,einstein_residual_max,einstein_threshold,status",
+    "fiber": "command,n,beta1,probe_distance,fiber_length_full,length_asymptote,"
+             "fiber_volume_quad,fiber_volume_closed,volume_defect,volume_defect_threshold,"
+             "cone_angle_lower,cone_angle_upper,angle_defect_lower,angle_defect_upper,"
+             "angle_threshold,status",
+    "classes": "command,n,beta1,beta2,lambda,kee_a,kee_b,is_kahler,class_volume,"
+               "total_volume_quad,volume_match_rel,volume_threshold,proportionality_defect,"
+               "proportionality_threshold,adjunction_zero,adjunction_infinity,alpha2,"
+               "alpha2_class_ratio_defect,status",
+    "limit": "command,n,beta1,probe_z_re,probe_z_im,probe_w_re,probe_w_im,beta2,alpha2,"
+             "fiber_length,rescaled_length,rescaled_coeff_y,rescaled_coeff_theta,"
+             "tensor_deviation",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_CSV_HEADERS))
+def test_csv_header_order(cmd):
+    rows, _ = run(parse(_argv(cmd, "--grid", "1") if cmd == "verify" else _argv(cmd)))
+    header = render(rows, "csv").decode("utf-8").split("\n", 1)[0]
+    assert header == _CSV_HEADERS[cmd]

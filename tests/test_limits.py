@@ -35,6 +35,15 @@ def test_beta2_series_rejects_bad_order():
         beta2_series(1, 0.1, order=3)
 
 
+@pytest.mark.parametrize("series, n, beta1", [
+    (beta2_series, 1, math.nan), (alpha_series, 0, 0.5), (beta2_series, 3, 5.0),
+])
+def test_series_refuse_inputs_outside_the_domain(series, n, beta1):
+    # the same (n, beta1) domain as make_profile, checked in one place
+    with pytest.raises(DomainError):
+        series(n, beta1)
+
+
 def test_alpha2_series_value():
     p = make_profile(1, 0.1)
     approx = alpha_series(1, 0.1, which="alpha2")
