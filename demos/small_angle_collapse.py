@@ -54,10 +54,10 @@ def main():
         print(f"  beta1 = {b1:<7}: {dev:.4f}")
 
     # one-call summary table
-    rep = collapse_report(1, [0.2, 0.1, 0.05])
+    entries = collapse_report(1, [0.2, 0.1, 0.05])
     print("\ncollapse report at n = 1:")
     print("  beta1    beta2        fiber length   length/beta1")
-    for e in rep.entries:
+    for e in entries:
         print(f"  {e.beta1:<7}  {e.beta2:.8f}   {e.fiber_length:.8f}     {e.rescaled_length:.4f}")
     print(f"  fiber length limit: pi*sqrt(1/2) = {math.pi/math.sqrt(2):.8f}")
 

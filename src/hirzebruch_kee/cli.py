@@ -32,7 +32,7 @@ from . import cohomology, geometry, limits
 from ._floats import geomspace, linspace, max_keep_nan
 from .errors import KeeError, UsageError
 from .legendre import build_map, tau_phi_of_s
-from .profile import (EinsteinProfile, _validate_n_beta1,
+from .profile import (EinsteinProfile, _validate_n, _validate_n_beta1,
                       eval_phi, eval_phi_prime, make_profile, ode_residual)
 
 ODE_THRESHOLD = 1e-12
@@ -41,7 +41,7 @@ EINSTEIN_THRESHOLD = 1e-5
 PROPORTIONALITY_THRESHOLD = 1e-12
 VOLUME_MATCH_THRESHOLD = 1e-9
 ANGLE_THRESHOLD = 1e-3          # fraction of the 2 pi beta target
-FIBER_AREA_THRESHOLD = 1e-10    # relative, quadrature vs 2 pi (alpha2 - 1)
+FIBER_AREA_THRESHOLD = 1e-10    # relative, quadrature vs 2 pi span
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,12 +139,17 @@ def parse(argv) -> argparse.Namespace:
     if ns.output_format is None:
         to_csv = ns.output_path is not None and ns.output_path.lower().endswith(".csv")
         ns.output_format = "csv" if to_csv else "json"
-    beta1s = [getattr(ns, k) for k in ("beta1", "beta1_min", "beta1_max") if hasattr(ns, k)]
-    for beta1 in beta1s + list(getattr(ns, "beta1_list", ())):
-        try:
+    # each value is checked under the flag that held it
+    beta1s = [(f"--{k.replace('_', '-')}", getattr(ns, k))
+              for k in ("beta1", "beta1_min", "beta1_max") if hasattr(ns, k)]
+    beta1s += [("--beta1-seq", b) for b in getattr(ns, "beta1_list", ())]
+    flag = "--n"
+    try:
+        _validate_n(ns.n)
+        for flag, beta1 in beta1s:
             _validate_n_beta1(ns.n, beta1)
-        except KeeError as exc:
-            raise UsageError(str(exc)) from exc
+    except KeeError as exc:
+        raise UsageError(f"argument {flag}: {exc}") from exc
     if ns.command == "scan" and not ns.beta1_min <= ns.beta1_max:
         raise UsageError(f"need beta1-min <= beta1-max, got {ns.beta1_min} > {ns.beta1_max}")
     return ns
@@ -220,7 +225,7 @@ def _run_fiber(cfg: argparse.Namespace):
     d = cfg.probe_distance
     length_full = geometry.fiber_length(p, 1.0, p.alpha2)
     vol_quad = geometry.fiber_volume(p)
-    vol_closed = 2.0 * math.pi * (p.alpha2 - 1.0)
+    vol_closed = 2.0 * math.pi * p.span
     angle_lo = geometry.cone_angle_probe(p, "lower", 1.0 + d)
     angle_hi = geometry.cone_angle_probe(p, "upper", p.alpha2 - d)
     defect_lo = abs(angle_lo - 2.0 * math.pi * p.beta1) / (2.0 * math.pi)
@@ -276,8 +281,7 @@ def _run_classes(cfg: argparse.Namespace):
 
 
 def _run_limit(cfg: argparse.Namespace):
-    report = limits.collapse_report(cfg.n, cfg.beta1_list)
-    probe = report.probe
+    probe = limits.DEFAULT_PROBE
     return [{
         "command": cfg.command, "n": cfg.n, "beta1": e.beta1,
         "probe_z_re": probe.z.real, "probe_z_im": probe.z.imag,
@@ -287,7 +291,7 @@ def _run_limit(cfg: argparse.Namespace):
         "rescaled_coeff_y": e.rescaled_coeff_y,
         "rescaled_coeff_theta": e.rescaled_coeff_theta,
         "tensor_deviation": e.tensor_deviation_at_probe,
-    } for e in report.entries]
+    } for e in limits.collapse_report(cfg.n, cfg.beta1_list)]
 
 
 _RUNNERS = {

@@ -89,11 +89,9 @@ def intersect(x: DivisorClass, y: DivisorClass):
 
 
 def section_coefficients(x: DivisorClass) -> tuple[Coeff, Coeff]:
-    """Coefficients (u, v) with x = u*Z + v*Z_inf (exact for rational input)."""
-    if isinstance(x.a, Rational) and isinstance(x.b, Rational):
-        v = Fraction(x.b, x.n)
-    else:
-        v = x.b / x.n
+    """Coefficients (u, v) with x = u*Z + v*Z_inf (exact for rational input:
+    a Fraction divided by an int is a Fraction)."""
+    v = x.b / x.n
     return x.a - v, v
 
 

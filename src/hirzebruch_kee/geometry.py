@@ -198,8 +198,9 @@ def ricci_fd(p: EinsteinProfile, m: TauSMap, pt: ChartPoint,
     the centre keeps each value near 0, where its rounding is about eps;
     the constant it removes cancels in every difference.
     """
-    if not 0.0 < step < math.inf:
-        raise DomainError(f"step must be positive and finite, got {step}")
+    # the second differences divide by (step/2)^2, which must be a normal double
+    if not (0.0 < step < math.inf and step * step >= 4.0 * sys.float_info.min):
+        raise DomainError(f"step must be finite with (step/2)^2 a normal double, got {step}")
     u0, x0, y0 = math.log(abs(pt.w)), pt.z.real, pt.z.imag
 
     def det_at(du: float, dx: float, dy: float) -> float:
@@ -316,15 +317,15 @@ def _carlson_rf_rj(x: float, y: float, z: float, p: float) -> tuple[float, float
 # form: F(phi|m) = s R_F(c^2, Delta^2, 1) and Pi(n; phi|m) is that plus
 # (n/3) s^3 R_J(c^2, Delta^2, 1, 1 - n s^2), with s = sin phi, c = cos phi
 # and Delta^2 = 1 - m s^2.  Every complement is formed from the roots,
-# never as 1 - x.  At the anchor itself s = 0 and the length is exactly 0.
+# never as 1 - x, and d - 1 is the profile's span.  At the anchor itself
+# s = 0 and the length is exactly 0.
 
 def _length_from_one(p: EinsteinProfile, t: float) -> float:
     # length over [1, t], divided by P: Pi(N; phi|m), N = (d - 1)/d, with
     # sin^2 phi = d (t - 1)/((d - 1) t), so that N sin^2 phi = (t - 1)/t
-    a, d = p.alpha1, p.alpha2
-    rf, rj = _carlson_rf_rj((d - t) / ((d - 1.0) * t), (t - a) / ((1.0 - a) * t),
-                            1.0, 1.0 / t)
-    s = math.sqrt(d * (t - 1.0) / ((d - 1.0) * t))
+    a, d, span = p.alpha1, p.alpha2, p.span
+    rf, rj = _carlson_rf_rj((d - t) / (span * t), (t - a) / ((1.0 - a) * t), 1.0, 1.0 / t)
+    s = math.sqrt(d * (t - 1.0) / (span * t))
     return s * (rf + (t - 1.0) / (3.0 * t) * rj)
 
 
@@ -332,10 +333,10 @@ def _length_to_alpha2(p: EinsteinProfile, t: float) -> float:
     # length over [t, alpha2], divided by P: a F(phi|m) + (d - a) Pi(-B; phi|m),
     # B = (d - 1)/(1 - a), with sin^2 phi = (1 - a)(d - t)/((d - 1)(t - a)),
     # so that B sin^2 phi = (d - t)/(t - a)
-    a, d = p.alpha1, p.alpha2
-    rf, rj = _carlson_rf_rj((d - a) * (t - 1.0) / ((d - 1.0) * (t - a)),
+    a, d, span = p.alpha1, p.alpha2, p.span
+    rf, rj = _carlson_rf_rj((d - a) * (t - 1.0) / (span * (t - a)),
                             t * (d - a) / (d * (t - a)), 1.0, (d - a) / (t - a))
-    s = math.sqrt((1.0 - a) * (d - t) / ((d - 1.0) * (t - a)))
+    s = math.sqrt((1.0 - a) * (d - t) / (span * (t - a)))
     return s * (d * rf - (d - a) * (d - t) / (3.0 * (t - a)) * rj)
 
 
@@ -355,7 +356,7 @@ def fiber_length(p: EinsteinProfile, tau_a: float, tau_b: float) -> float:
     if a == b:
         return 0.0
     scale = math.sqrt(2.0 / (-p.leading * p.alpha2 * (1.0 - p.alpha1)))
-    if a >= 0.5 * (1.0 + p.alpha2):
+    if a >= 1.0 + 0.5 * p.span:
         return scale * (_length_to_alpha2(p, a) - _length_to_alpha2(p, b))
     return scale * (_length_from_one(p, b) - _length_from_one(p, a))
 
@@ -386,9 +387,10 @@ def fiber_volume(p: EinsteinProfile) -> float:
     """Area of one fiber: 2 pi times the integral of phi ds over the line.
 
     The area form of the fiber metric is dtau dtheta = phi ds dtheta, so the
-    result equals 2 pi (alpha2 - 1).  It is taken in the stretched coordinate
-    q, from the metric's phi and the map's density ds/dq at each node, so it
-    checks both against that closed form.
+    result equals 2 pi span, span = alpha2 - 1 the width of the fiber
+    interval.  It is taken in the stretched coordinate q, from the metric's
+    phi and the map's density ds/dq at each node, so it checks both against
+    that closed form.
     """
     def density(q):
         _, phi, dsdq, _ = _at_q(p, q)

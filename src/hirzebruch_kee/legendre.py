@@ -10,17 +10,18 @@ so partial fractions integrate 1/phi in closed form:
 
     s = A log(tau - 1) - B log(alpha2 - tau) + C log(tau - alpha1) + const,
 
-    A = 1 / (cbar (alpha2 - 1) (1 - alpha1))              (= 1/beta1),
-    B = alpha2 / (cbar (alpha2 - 1) (alpha2 - alpha1))    (= 1/beta2),
+    A = 1 / (cbar span (1 - alpha1))            (= 1/beta1),
+    B = alpha2 / (cbar span (alpha2 - alpha1))  (= 1/beta2),
     C = -alpha1 / (cbar (1 - alpha1) (alpha2 - alpha1)),
 
-with A - B + C = 0 because 1/phi decays like 1/tau^2.  s diverges
+with span = alpha2 - 1 the profile's width of the fiber interval, and
+A - B + C = 0 because 1/phi decays like 1/tau^2.  s diverges
 logarithmically at both roots, with asymptotic slopes d(log phi)/ds -> beta1
 at the lower end and -> -beta2 at the upper end.
 
 The formula is evaluated in the stretched coordinate
 
-    q = log(tau - 1) - log(alpha2 - tau),   tau = 1 + (alpha2 - 1) sigma(q),
+    q = log(tau - 1) - log(alpha2 - tau),   tau = 1 + span sigma(q),
 
 with sigma the logistic function.  Since log sigma(q) = -softplus(-q) and
 softplus(q) - softplus(-q) = q, it reads
@@ -38,8 +39,8 @@ q also sidesteps a representability wall: at beta1 near 1, |s| >= 40
 requires tau - 1 ~ exp(-40), far below the spacing of doubles around 1,
 while q there is perfectly representable; only the cosmetic tau saturates.
 So the map covers every finite s.  phi is formed from q as well
-(tau_phi_of_s), with tau - 1 = (alpha2 - 1) sigma(q) and alpha2 - tau =
-(alpha2 - 1) sigma(-q), so it keeps its relative accuracy where tau has
+(tau_phi_of_s), with tau - 1 = span sigma(q) and alpha2 - tau =
+span sigma(-q), so it keeps its relative accuracy where tau has
 rounded onto a root, and is 0 only once sigma underflows, near |q| = 745.
 
 The coefficients come from the stored roots and leading coefficient, never
@@ -49,14 +50,16 @@ and the finite-difference Einstein check still sees it.
 tau_of_s inverts the formula by safeguarded Newton in q with the analytic
 density
 
-    ds/dq = tau / ((alpha2 - 1) * cbar * (tau - alpha1)),
+    ds/dq = tau / (span * cbar * (tau - alpha1)),
 
 which rises monotonically from A at the lower root to B at the upper one
-(alpha1 < 0, i.e. C > 0).  So |s| >= min(A, B) |q - q0| brackets every
-solve, and the slopes A and B give the start on either side of the gauge
-point tau0 = (1 + alpha2)/2, where s = 0.  Started there, Newton settles
-within 5 steps for |s| up to 1e305 (checked at every power of ten on eight
-profiles and at 80,000 random (n, beta1, s) draws).
+(alpha1 < 0, i.e. C > 0).  The map is gauged at q = 0, the midpoint
+tau = 1 + span/2: s(q) is A q plus C times the change of the bracket from
+q = 0, so s(0) = 0 exactly.  So |s| >= min(A, B) |q| brackets every
+solve, and the slopes A and B give the start on either side of q = 0.
+Started there, Newton settles within 5 steps for |s| up to 1e305 (checked
+at every power of ten on eight profiles and at 80,000 random (n, beta1, s)
+draws).
 
 One private function, _at_q, evaluates the map at q: tau, phi, ds/dq and
 the bracket C multiplies, all from one exp(-|q|).  Each Newton step makes
@@ -68,6 +71,7 @@ the closed form s(q) is written once, in _s_at_q.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
@@ -78,14 +82,12 @@ from .profile import EinsteinProfile, _checked_tau
 class TauSMap:
     """Closed-form bijection between tau in (1, alpha2) and every finite s.
 
-    The gauge puts s = 0 at the midpoint tau0 = (1 + alpha2)/2.  a, b, c are
-    the partial-fraction coefficients A, B, C; q0 is the gauge point in the
-    stretched coordinate and c0 the term C multiplies there.
+    The gauge puts s = 0 at q = 0, the midpoint tau = 1 + span/2.  a, b, c
+    are the partial-fraction coefficients A, B, C and c0 the term C
+    multiplies at q = 0.
     """
 
     profile: EinsteinProfile
-    tau0: float
-    q0: float
     a: float
     b: float
     c: float
@@ -100,14 +102,14 @@ def _at_q(p: EinsteinProfile, q: float) -> tuple[float, float, float, float]:
     alpha2 - tau and tau - alpha1 are formed from them, never as a
     difference of tau and a root, so phi keeps its relative accuracy as
     long as it is a normal double (at beta1 = 1 until |q| is about 708; at
-    small beta1 the factor (alpha2 - 1)^2 brings that point closer).  In
+    small beta1 the factor span^2 brings that point closer).  In
     ds/dq the root factors of phi cancel exactly; the last value is the
     bracket that C multiplies in s(q).
     """
     t = math.exp(-abs(q))
     big, small = 1.0 / (1.0 + t), t / (1.0 + t)     # sigma(|q|), sigma(-|q|)
     sig, sig_neg = (big, small) if q >= 0.0 else (small, big)
-    span = p.alpha2 - 1.0
+    span = p.span
     xi = span * sig
     d2 = (1.0 - p.alpha1) + xi          # tau - alpha1, no cancellation
     tau = 1.0 + xi
@@ -116,37 +118,30 @@ def _at_q(p: EinsteinProfile, q: float) -> tuple[float, float, float, float]:
     return tau, phi, tau / (span * cbar * d2), math.log(d2) + max(q, 0.0) + math.log1p(t)
 
 
-def _q_from_tau(p: EinsteinProfile, tau: float) -> float:
-    xi = tau - 1.0
-    rho = p.alpha2 - tau
-    if not (xi > 0.0 and rho > 0.0):
-        # the map covers an open interval; s diverges at both endpoints
-        raise RangeError(f"tau={tau} not interior to (1, {p.alpha2}); s is unbounded there")
-    return math.log(xi) - math.log(rho)
-
-
 def build_map(p: EinsteinProfile) -> TauSMap:
-    """The tau <-> s map gauged to s = 0 at tau0 = (1 + alpha2)/2."""
-    tau0 = 0.5 * (1.0 + p.alpha2)
-    q0 = _q_from_tau(p, tau0)
+    """The tau <-> s map gauged to s = 0 at q = 0, the midpoint tau = 1 + span/2."""
     cbar = -p.leading
-    span = p.alpha2 - 1.0
     d1 = 1.0 - p.alpha1
     d12 = p.alpha2 - p.alpha1
-    return TauSMap(profile=p, tau0=tau0, q0=q0,
-                   a=1.0 / (cbar * span * d1), b=p.alpha2 / (cbar * span * d12),
-                   c=-p.alpha1 / (cbar * d1 * d12), c0=_at_q(p, q0)[3])
+    return TauSMap(profile=p, a=1.0 / (cbar * p.span * d1),
+                   b=p.alpha2 / (cbar * p.span * d12),
+                   c=-p.alpha1 / (cbar * d1 * d12), c0=_at_q(p, 0.0)[3])
 
 
 def _s_at_q(m: TauSMap, q: float) -> tuple[float, float]:
-    """The closed form s(q), zero at the gauge point q0, and its slope ds/dq."""
+    """The closed form s(q), exactly zero at q = 0, and its slope ds/dq."""
     _, _, dsdq, c_term = _at_q(m.profile, q)
-    return m.a * (q - m.q0) + m.c * (c_term - m.c0), dsdq
+    return m.a * q + m.c * (c_term - m.c0), dsdq
 
 
 def s_of_tau(m: TauSMap, tau: float) -> float:
     """Log-norm coordinate of a momentum value in the open interval (1, alpha2)."""
-    return _s_at_q(m, _q_from_tau(m.profile, float(tau)))[0]
+    p, tau = m.profile, float(tau)
+    xi, rho = tau - 1.0, p.alpha2 - tau
+    if not (xi > 0.0 and rho > 0.0):
+        # the map covers an open interval; s diverges at both endpoints
+        raise RangeError(f"tau={tau} not interior to (1, {p.alpha2}); s is unbounded there")
+    return _s_at_q(m, math.log(xi) - math.log(rho))[0]
 
 
 def _q_of_s(m: TauSMap, s: float) -> float:
@@ -154,8 +149,8 @@ def _q_of_s(m: TauSMap, s: float) -> float:
     if not math.isfinite(s):
         raise RangeError(f"s={s} is not finite; tau reaches a root only as |s| -> infinity")
     reach = abs(s) / min(m.a, m.b)
-    lo, hi = m.q0 - reach, m.q0 + reach   # bracket with F(lo) <= 0 <= F(hi)
-    q = m.q0 + s / (m.a if s < 0.0 else m.b)
+    lo, hi = -reach, reach      # bracket with F(lo) <= 0 <= F(hi)
+    q = s / (m.a if s < 0.0 else m.b)
     for _ in range(60):
         s_q, dsdq = _s_at_q(m, q)
         f = s_q - s
@@ -210,9 +205,14 @@ def y_of_tau(p: EinsteinProfile, tau: float) -> float:
     """Collapse-rescaled fiber coordinate y = (tau - 1 - n b/2)/(n b^2/2).
 
     Centered at the small-angle fiber midpoint and scaled so the fiber stays
-    order-one as beta1 -> 0; y(1) = -1/beta1 exactly.
+    order-one as beta1 -> 0; y(1) = -1/beta1 exactly.  DomainError once
+    beta1^2 leaves the normal doubles (beta1 below about 1.5e-154, a valid
+    angle only for n above about 1e138), where the scale and the rescaled
+    metric's division by beta1^2 would round to 0.
     """
     tau = _checked_tau(p, tau)
+    if not p.beta1 * p.beta1 >= sys.float_info.min:
+        raise DomainError(f"y scales by beta1^2, not a normal double at beta1={p.beta1}")
     nb = p.n * p.beta1
     return (tau - 1.0 - 0.5 * nb) / (0.5 * nb * p.beta1)
 

@@ -43,7 +43,8 @@ from .geometry import ChartPoint, fiber_length, fs_pullback, metric_at
 from .legendre import build_map, tau_of_y
 from .profile import EinsteinProfile, _validate_n, _validate_n_beta1, eval_phi, make_profile
 
-_DEFAULT_PROBE = ChartPoint(z=0.5 + 0.0j, w=1.0 + 0.0j)
+# the chart point at which the collapse diagnostics measure the tensor deviation
+DEFAULT_PROBE = ChartPoint(z=0.5 + 0.0j, w=1.0 + 0.0j)
 
 
 def beta2_series(n: int, beta1: float, order: int = 2) -> float:
@@ -121,14 +122,7 @@ class CollapseEntry:
     tensor_deviation_at_probe: float
 
 
-@dataclass(frozen=True)
-class CollapseReport:
-    n: int
-    probe: ChartPoint
-    entries: tuple[CollapseEntry, ...]
-
-
-def collapse_entry(n: int, beta1: float, probe: ChartPoint = _DEFAULT_PROBE) -> CollapseEntry:
+def collapse_entry(n: int, beta1: float, probe: ChartPoint = DEFAULT_PROBE) -> CollapseEntry:
     p = make_profile(n, beta1)
     m = build_map(p)
     full = fiber_length(p, 1.0, p.alpha2)
@@ -155,7 +149,7 @@ def _checked_ladder(beta1_list) -> tuple[float, ...]:
     return values
 
 
-def collapse_report(n: int, beta1_list, probe: ChartPoint = _DEFAULT_PROBE) -> CollapseReport:
-    """Diagnostics along a strictly decreasing ladder of beta1 values."""
-    entries = tuple(collapse_entry(n, b, probe=probe) for b in _checked_ladder(beta1_list))
-    return CollapseReport(n=n, probe=probe, entries=entries)
+def collapse_report(n: int, beta1_list,
+                    probe: ChartPoint = DEFAULT_PROBE) -> tuple[CollapseEntry, ...]:
+    """Diagnostics along a strictly decreasing ladder of beta1 values, one entry a rung."""
+    return tuple(collapse_entry(n, b, probe=probe) for b in _checked_ladder(beta1_list))

@@ -37,7 +37,8 @@ constructed the same way and no special casing is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
@@ -47,14 +48,12 @@ BETA1_CONSTRAINT = "beta1 must lie in (0, 2/n) ∩ (0, 1]"
 
 @dataclass(frozen=True)
 class ConeAngles:
-    """Cone angles (divided by 2*pi) and the Einstein constant of a profile.
+    """The induced cone angle (divided by 2*pi) and the Einstein constant.
 
-    beta1 is the prescribed angle along the zero section, beta2 the induced
-    angle along the infinity section; 0 < beta2 < beta1 always, and
-    lam = 2/n - beta1 > 0 on the valid domain.
+    beta2 is the angle along the infinity section, 0 < beta2 < beta1 for the
+    profile's prescribed beta1, and lam = 2/n - beta1 > 0 on the valid domain.
     """
 
-    beta1: float
     beta2: float
     lam: float
 
@@ -67,6 +66,12 @@ class EinsteinProfile:
     valid domain); alpha1 < 0 and alpha2 > 1 are the two non-unit roots of
     the numerator cubic.  alpha2 is the momentum value of the infinity
     section, so the fiber momentum interval is [1, alpha2].
+
+    span = alpha2 - 1 is the width of that interval, formed here and nowhere
+    else.  It is derived, not passed: __post_init__ sets it, so a profile
+    rebuilt by dataclasses.replace with another alpha2 carries the matching
+    span.  DomainError is raised unless span > 0, which fails once n*beta1
+    is below about 1.1e-16 and alpha2 rounds onto 1.
     """
 
     n: int
@@ -75,6 +80,13 @@ class EinsteinProfile:
     alpha1: float
     alpha2: float
     angles: ConeAngles
+    span: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "span", self.alpha2 - 1.0)
+        if not self.span > 0.0:
+            raise DomainError(f"the fiber interval [1, alpha2] is empty in doubles: "
+                              f"alpha2={self.alpha2} for n={self.n}, beta1={self.beta1}")
 
     @property
     def beta2(self) -> float:
@@ -86,10 +98,14 @@ class EinsteinProfile:
 
 
 def _validate_n(n: int) -> None:
-    """The surface index: an integer n >= 1 (n = 0, the product, is out of scope)."""
+    """The surface index: an integer n >= 1 (n = 0, the product, is out of
+    scope) that converts to a double."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer (the n = 0 product case "
                           f"is out of scope), got {n!r}")
+    if n > sys.float_info.max:
+        raise DomainError(f"n must not exceed the largest double, got an integer of "
+                          f"{n.bit_length()} bits")
 
 
 def _validate_n_beta1(n: int, beta1: float) -> None:
@@ -120,7 +136,7 @@ def make_profile(n: int, beta1: float) -> EinsteinProfile:
     beta2 = 2.0 * beta1 * (3.0 - x) / (disc + 3.0 - x)
     lam = 2.0 / n - beta1
     leading = (beta1 - 2.0 / n) / 3.0
-    angles = ConeAngles(beta1=beta1, beta2=beta2, lam=lam)
+    angles = ConeAngles(beta2=beta2, lam=lam)
     return EinsteinProfile(n=n, beta1=beta1, leading=leading,
                            alpha1=alpha1, alpha2=alpha2, angles=angles)
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,6 +6,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hirzebruch_kee import UsageError
 from hirzebruch_kee.cli import _meta, main, parse, render, run
@@ -37,6 +40,21 @@ def test_parse_rejects_bad_beta1_with_constraint():
     with pytest.raises(UsageError) as err:
         parse(["solve", "--n", "3", "--beta1", "0.7"])
     assert "beta1 must lie in (0, 2/n)" in str(err.value)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["scan", "--n", "1", "--beta1-min", "nan", "--beta1-max", "0.5", "--count", "3"],
+     "--beta1-min"),
+    (["scan", "--n", "1", "--beta1-min", "0.1", "--beta1-max", "1.5", "--count", "3"],
+     "--beta1-max"),
+    (["limit", "--n", "1", "--beta1-seq", "0.2,nan"], "--beta1-seq"),
+    (["solve", "--n", "3", "--beta1", "0.7"], "--beta1"),
+    (["solve", "--n", "1" + "0" * 320, "--beta1", "1e-310"], "--n"),
+])
+def test_parse_names_the_flag_that_held_a_bad_value(argv, flag):
+    with pytest.raises(UsageError) as err:
+        parse(argv)
+    assert str(err.value).startswith(f"argument {flag}: ")
 
 
 def test_parse_limit_with_out_format_word(tmp_path, monkeypatch):
@@ -402,3 +420,58 @@ def test_csv_header_order(cmd):
     rows, _ = run(parse(_argv(cmd, "--grid", "1") if cmd == "verify" else _argv(cmd)))
     header = render(rows, "csv").decode("utf-8").split("\n", 1)[0]
     assert header == _CSV_HEADERS[cmd]
+
+
+# Drawn argv for every subcommand: each numeric flag takes NaN, infinities,
+# subnormals, values at and just past each domain edge, and integers of 300
+# and 320 digits; size flags stay at most 3 so no example is expensive.
+_BIG, _HUGE = "1" + "0" * 300, "1" + "0" * 320
+_VALUES = ["nan", "inf", "-inf", "-1", "0", "5e-324", "1e-310", "2.2250738585072014e-308",
+           "1e-170", "1e-16", "1.1e-16", "2e-16", "1e-6", "0.001", "0.5",
+           "0.6666666666666666", "0.6666666666666667", "0.9999999999", "1",
+           "1.0000000000000002", "2", "1e300", _BIG, _HUGE]
+_SIZES = ["nan", "-1", "0", "1", "2", "3"]
+_OPTIONAL = {
+    "solve": [("--emit-profile", _SIZES)],
+    "scan": [("--linear", None)],
+    "verify": [("--grid", _SIZES), ("--fd-step", _VALUES)],
+    "fiber": [("--probe-distance", _VALUES)],
+}
+
+
+@st.composite
+def _drawn_argv(draw):
+    value = st.sampled_from(_VALUES)
+    cmd = draw(st.sampled_from(["solve", "scan", "verify", "fiber", "classes", "limit"]))
+    argv = [cmd, f"--n={draw(st.sampled_from(['-1', '0', '1', '2', '3', _BIG, _HUGE]))}"]
+    if cmd == "scan":
+        argv += [f"--beta1-min={draw(value)}", f"--beta1-max={draw(value)}",
+                 f"--count={draw(st.sampled_from(_SIZES))}"]
+    elif cmd == "limit":
+        argv.append("--beta1-seq=" + ",".join(draw(st.lists(value, min_size=1, max_size=3))))
+    else:
+        argv.append(f"--beta1={draw(value)}")
+    for flag, values in _OPTIONAL.get(cmd, []):
+        if draw(st.booleans()):
+            argv.append(flag if values is None else f"{flag}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_drawn_argv())
+@example(argv=["classes", "--n", "1", "--beta1", "1e-16"])
+@example(argv=["fiber", "--n", "1", "--beta1", "1e-16", "--probe-distance", "1e-20"])
+@example(argv=["solve", "--n", _HUGE, "--beta1", "1e-310"])
+@example(argv=["verify", "--n", "1", "--beta1", "0.5", "--fd-step", "1e-170"])
+@example(argv=["limit", "--n", _BIG, "--beta1-seq", "1e-310"])
+def test_every_argv_ends_in_a_report_or_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)     # an escaping exception fails the test
+    assert status in (0, 1, 2), (argv, status)
+    if status == 2:
+        assert err.getvalue().startswith("usage error: ")
+        return
+    rows = json.loads(out.getvalue())["rows"]
+    failed = [r for r in rows if "error" in r or r.get("status") == "fail"]
+    assert bool(failed) == (status == 1), (argv, rows)

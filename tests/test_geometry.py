@@ -306,6 +306,23 @@ def test_ricci_fd_large_steps_give_a_form_or_a_kee_error(step):
     assert isinstance(form, geometry.HermitianForm2)
 
 
+@pytest.mark.parametrize("step", [1e-170, 2.9e-154, math.nan, math.inf, 0.0, -1e-3])
+def test_ricci_fd_refuses_a_step_whose_square_underflows(step):
+    # the second differences divide by (step/2)^2; below the normal doubles
+    # that is 0 or a few bits, so the step is refused before it is used
+    p, m = rigid()
+    with pytest.raises(DomainError, match="step"):
+        ricci_fd(p, m, ChartPoint(z=0.3 + 0.1j, w=0.7 + 0.0j), step=step)
+
+
+def test_ricci_fd_smallest_step_gives_a_form():
+    # (step/2)^2 = 4e-308 is a normal double: the differences are rounding
+    # noise, but finite or inf, never a division by zero
+    p, m = rigid()
+    form = ricci_fd(p, m, ChartPoint(z=0.3 + 0.1j, w=0.7 + 0.0j), step=4e-154)
+    assert isinstance(form, geometry.HermitianForm2)
+
+
 def test_fiber_length_small_angle_near_asymptote():
     p = make_profile(2, 0.01)
     L = fiber_length(p, 1.0, p.alpha2)

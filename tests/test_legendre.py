@@ -19,11 +19,22 @@ EPS = sys.float_info.epsilon
 def test_build_basic():
     p = make_profile(1, 0.5)
     m = build_map(p)
-    assert m.tau0 == 0.5 * (1.0 + p.alpha2)
+    # the gauge point q = 0 is the midpoint of [1, alpha2]
+    assert _at_q(p, 0.0)[0] == 1.0 + 0.5 * p.span
     # A = 1/beta1 and B = 1/beta2, read off the roots rather than the angles
     assert m.a == pytest.approx(1.0 / p.beta1, rel=1e-14)
     assert m.b == pytest.approx(1.0 / p.beta2, rel=1e-14)
     assert m.a - m.b + m.c == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n, b1", [(3, 1e-8), (1, 1.0), (1, 0.5), (2, 0.5), (3, 0.4)])
+def test_gauge_is_exact_at_q_zero(n, b1):
+    # s(0) is A*0 plus C times a bracket minus itself: exactly 0, where a
+    # gauge point carried as a rounded q0 left s(0) at -1.48 on (3, 1e-8)
+    p = make_profile(n, b1)
+    m = build_map(p)
+    assert _s_at_q(m, 0.0)[0] == 0.0
+    assert _q_of_s(m, 0.0) == 0.0
 
 
 def _mp_s_increment(p, tau_a, tau_b):
@@ -44,10 +55,11 @@ def test_closed_form_matches_mpmath_quadrature(n, b1):
     p = make_profile(n, b1)
     m = build_map(p)                    # small angles put |s| in the thousands
     span = p.alpha2 - 1.0
+    tau0 = 1.0 + 0.5 * p.span
     for u in (1e-4, 0.05, 0.3, 0.7, 0.95, 1.0 - 1e-4):
         tau = 1.0 + u * span
-        got = s_of_tau(m, tau) - s_of_tau(m, m.tau0)
-        want = _mp_s_increment(p, m.tau0, tau)
+        got = s_of_tau(m, tau) - s_of_tau(m, tau0)
+        want = _mp_s_increment(p, tau0, tau)
         assert abs(got - want) <= 1e-13 * abs(want), (u, got, want)
 
 
@@ -99,8 +111,8 @@ def test_gauge_point_maps_to_zero():
     # the gauge point is the midpoint of [1, alpha2]
     p = make_profile(1, 0.8)
     m = build_map(p)
-    assert abs(tau_of_s(m, 0.0) - m.tau0) < 1e-12
-    assert abs(s_of_tau(m, m.tau0)) < 1e-12
+    assert abs(tau_of_s(m, 0.0) - (1.0 + 0.5 * p.span)) < 1e-12
+    assert abs(s_of_tau(m, 1.0 + 0.5 * p.span)) < 1e-12
 
 
 def test_fd_derivative_is_phi():
@@ -109,7 +121,7 @@ def test_fd_derivative_is_phi():
     m = build_map(p)
     h = 1e-5
     fd = (tau_of_s(m, h) - tau_of_s(m, -h)) / (2.0 * h)
-    assert abs(fd - eval_phi(p, m.tau0)) < 1e-6
+    assert abs(fd - eval_phi(p, 1.0 + 0.5 * p.span)) < 1e-6
 
 
 def test_s_of_tau_outside_interval():
@@ -235,7 +247,7 @@ def test_tau_of_s_on_whole_finite_line(n, b1, monkeypatch):
             steps.clear()
             q = _q_of_s(m, s)
             assert len(steps) <= 5, (s, len(steps))
-            terms = abs(m.a * (q - m.q0)) + m.c * (abs(_at_q(p, q)[3]) + abs(m.c0))
+            terms = abs(m.a * q) + m.c * (abs(_at_q(p, q)[3]) + abs(m.c0))
             assert abs(_s_at_q(m, q)[0] - s) <= 4.0 * EPS * terms, (s, q)
             assert 1.0 <= tau_of_s(m, s) <= p.alpha2
     for s in (math.inf, -math.inf, math.nan):

@@ -203,14 +203,25 @@ def test_fiber_length_asymptote_values():
 
 
 def test_collapse_report_columns():
-    rep = collapse_report(1, (0.2, 0.1, 0.05))
-    assert [e.beta1 for e in rep.entries] == [0.2, 0.1, 0.05]
-    cy = [e.rescaled_coeff_y for e in rep.entries]
+    entries = collapse_report(1, (0.2, 0.1, 0.05))
+    assert [e.beta1 for e in entries] == [0.2, 0.1, 0.05]
+    cy = [e.rescaled_coeff_y for e in entries]
     assert abs(cy[2] - 0.5) < abs(cy[1] - 0.5) < abs(cy[0] - 0.5)
-    for e in rep.entries:
+    for e in entries:
         assert e.beta2 < e.beta1
         assert abs(e.fiber_length - math.pi / math.sqrt(2.0)) < 2.0 * e.beta1
         assert e.rescaled_length == pytest.approx(e.fiber_length / e.beta1)
+
+
+@pytest.mark.parametrize("n, beta1", [(10 ** 200, 1e-200), (10 ** 300, 1e-310)])
+def test_collapse_coordinate_refuses_an_underflowing_scale(n, beta1):
+    # valid angles for huge n, but y scales by beta1^2, which underflows
+    assert make_profile(n, beta1).span > 0.0
+    with pytest.raises(DomainError, match="beta1\\^2"):
+        rescaled_fiber_metric(n, beta1, 0.0)
+    with pytest.raises(DomainError):
+        collapse_entry(n, beta1)
+    assert tau_of_y(make_profile(1, 1.5e-10), 0.0) > 1.0
 
 
 def test_collapse_report_rejects_unordered():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -200,6 +201,36 @@ def test_eval_phi_outside_domain():
         eval_phi(p, 0.99)
     with pytest.raises(DomainError):
         eval_phi(p, p.alpha2 + 1e-6)
+
+
+def test_span_is_derived_from_alpha2():
+    # span is formed once, in __post_init__, so a replaced alpha2 carries
+    # its own span and a caller cannot pass one
+    p = make_profile(1, 1.0)
+    assert p.span == p.alpha2 - 1.0
+    for a2 in (1.5, 3.25, 1.0 + 1e-12):
+        q = dataclasses.replace(p, alpha2=a2)
+        assert q.span == a2 - 1.0
+    with pytest.raises(TypeError):
+        hk.EinsteinProfile(n=1, beta1=1.0, leading=p.leading, alpha1=p.alpha1,
+                           alpha2=p.alpha2, angles=p.angles, span=1.0)
+    assert [f.name for f in dataclasses.fields(hk.ConeAngles)] == ["beta2", "lam"]
+
+
+@pytest.mark.parametrize("n, beta1", [(1, 1e-16), (1, 1.1e-16), (3, 3e-17), (1, 5e-324)])
+def test_empty_fiber_interval_is_refused(n, beta1):
+    # below n*beta1 of about 1.1e-16 alpha2 rounds onto 1 and the fiber
+    # interval is empty in doubles; nothing may divide by its width
+    with pytest.raises(DomainError, match="fiber interval"):
+        make_profile(n, beta1)
+    assert make_profile(1, 2e-16).span > 0.0
+
+
+def test_n_beyond_the_doubles_is_refused():
+    # n * beta1 converts n to a double, which overflows past the largest one
+    with pytest.raises(DomainError, match="largest double"):
+        make_profile(10 ** 320, 1e-310)
+    assert make_profile(10 ** 300, 1e-310).n == 10 ** 300
 
 
 _RIGID = make_profile(1, 1.0)
