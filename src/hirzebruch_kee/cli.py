@@ -12,9 +12,11 @@ error.  The exit status is read off the rows, so it always agrees with the
 report.
 
 The argparse parser is the one declaration of each flag: its name, default
-and validator (a type= callable).  The parsed namespace is the run
-configuration, and the report meta echoes it in parser order.  A flag
-exists only where it changes a number: the tau <-> s map covers every
+and validator (a type= callable).  It is built once per process, at the
+first parse, and repeated main() calls share it; a parse keeps no state in
+it, so each namespace depends on its argv alone.  The parsed namespace is
+the run configuration, and the report meta echoes it in parser order.  A
+flag exists only where it changes a number: the tau <-> s map covers every
 finite s, and the two volumes use a fixed trapezoid rule in the map's
 coordinate q, whose integrands decay like exp(-|q|) on every profile.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -83,6 +86,7 @@ def _ladder(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     # each subcommand's flags are added in the order its report meta echoes them
     parser = _Parser(prog="kee", description="Kahler-Einstein edge metrics on Hirzebruch surfaces")
@@ -317,16 +321,16 @@ def run(cfg: argparse.Namespace):
 
 def _cell(v, as_json: bool) -> str:
     """One report value as JSON or as a CSV cell; floats keep 17 digits."""
+    if isinstance(v, float):    # first, as floats are the bulk of every report
+        if as_json and not math.isfinite(v):
+            return json.dumps(v)    # NaN and Infinity as Python's json reads them
+        return format(v, ".17g")
     if v is None:
         return "null" if as_json else ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)       # .17g would print an int of 18 digits as 1e+17
-    if isinstance(v, float):
-        if as_json and not math.isfinite(v):
-            return json.dumps(v)    # NaN and Infinity as Python's json reads them
-        return format(v, ".17g")
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_cell(x, as_json) for x in v) + "]"
     return json.dumps(str(v)) if as_json else str(v)
@@ -355,10 +359,9 @@ def render(records: list, output_format: str, meta: dict | None = None) -> bytes
     out.append(", ".join(f"{json.dumps(k)}: {_cell(v, True)}"
                          for k, v in (meta or {}).items()))
     out.append("},\n  \"rows\": [\n")
-    lines = []
-    for row in records:
-        cells = ", ".join(f"{json.dumps(k)}: {_cell(row.get(k), True)}" for k in fieldnames)
-        lines.append("    {" + cells + "}")
+    keys = [(k, json.dumps(k) + ": ") for k in fieldnames]     # encoded once per report
+    lines = ["    {" + ", ".join(key + _cell(row.get(k), True) for k, key in keys) + "}"
+             for row in records]
     out.append(",\n".join(lines))
     out.append("\n  ]\n}\n")
     return "".join(out).encode("utf-8")

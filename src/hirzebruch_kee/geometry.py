@@ -97,11 +97,6 @@ class HermitianForm2:
         # a product overflows to inf where a float ** 2 would raise
         return self.g_ww * self.g_zz - abs(self.g_wz) * abs(self.g_wz)
 
-    def min_eigenvalue(self) -> float:
-        tr = self.g_ww + self.g_zz
-        gap = math.hypot(self.g_ww - self.g_zz, 2.0 * abs(self.g_wz))
-        return 0.5 * (tr - gap)
-
     def scaled(self, k: float) -> "HermitianForm2":
         return HermitianForm2(k * self.g_ww, k * self.g_wz, k * self.g_zz)
 

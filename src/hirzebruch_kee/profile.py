@@ -164,17 +164,6 @@ def eval_phi(p: EinsteinProfile, tau: float) -> float:
     return -p.leading * xi * rho * d2 / tau
 
 
-def eval_phi_expanded(p: EinsteinProfile, tau: float) -> float:
-    """Profile value from the expanded rational form (cross-check route).
-
-    Agrees with eval_phi to ~1e-13 relative away from the roots; near the
-    roots the subtractions (tau^2 - 1 etc.) shed digits, which is why the
-    factored form is the primary evaluation path.
-    """
-    tau = _checked_tau(p, tau)
-    return (tau * tau - 1.0) / (p.n * tau) + p.leading * (tau ** 3 - 1.0) / tau
-
-
 def eval_phi_exact(n: int, beta1: Fraction, tau: Fraction) -> Fraction:
     """Exact rational evaluation of phi for rational beta1 and tau.
 

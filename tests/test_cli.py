@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hirzebruch_kee import UsageError
-from hirzebruch_kee.cli import _meta, main, parse, render, run
+from hirzebruch_kee.cli import _build_parser, _meta, main, parse, render, run
 
 _DATA = Path(__file__).parent / "data"
 
@@ -34,6 +37,73 @@ def test_parse_solve_defaults():
     assert verify.grid == 5 and verify.fd_step == 1e-3
     assert parse(_argv("fiber")).probe_distance == 1e-6
     assert parse(_argv("scan")).log_grid is True
+
+
+# every subcommand with each optional flag it takes, then two with their
+# defaults, so a value left over from an earlier parse would show
+_EVERY_COMMAND = [
+    ["solve", "--n", "2", "--beta1", "0.5", "--emit-profile", "3", "--format", "csv"],
+    ["scan", "--n", "1", "--beta1-min", "0.1", "--beta1-max", "0.2", "--count", "2",
+     "--linear", "--out", "scan.csv"],
+    ["verify", "--n", "3", "--beta1", "0.4", "--grid", "2", "--fd-step", "2e-3"],
+    ["fiber", "--n", "1", "--beta1", "0.5", "--probe-distance", "1e-5", "--out", "f.json"],
+    ["classes", "--n", "4", "--beta1", "0.25"],
+    ["limit", "--n", "2", "--beta1-seq", "0.2,0.1,0.05", "--format", "json"],
+    ["solve", "--n", "1", "--beta1", "1.0"],
+    ["scan", "--n", "2", "--beta1-min", "0.05", "--beta1-max", "0.9", "--count", "20"],
+]
+
+
+def _parsed(argv):
+    ns = parse(argv)
+    return vars(ns), _meta(ns)
+
+
+def test_parser_is_built_once_and_reused_without_state():
+    assert _build_parser() is _build_parser()
+    first = [_parsed(argv) for argv in _EVERY_COMMAND]
+    order = [5, 2, 7, 0, 4, 1, 6, 3]
+    assert sorted(order) == list(range(len(_EVERY_COMMAND)))
+    for i in order:
+        assert _parsed(_EVERY_COMMAND[i]) == first[i]
+
+
+def test_reused_parser_forgets_the_previous_subcommand():
+    parse(_EVERY_COMMAND[1])
+    solve = parse(_argv("solve"))
+    assert not any(hasattr(solve, k) for k in ("beta1_min", "beta1_max", "count", "log_grid"))
+    assert list(_meta(solve)) == ["tool", "command", "n", "beta1", "emit_profile"]
+
+
+@pytest.mark.parametrize("bad", [
+    ["verify", "--n", "3", "--beta1", "0.4", "--grid", "7", "--fd-step", "nan"],
+    ["scan", "--n", "1", "--beta1-min", "0.1", "--count", "9"],
+    ["solve", "--n", "3", "--beta1", "0.7", "--emit-profile", "4"],
+    ["limit", "--n", "1", "--beta1-seq", "0.3,0.2,0.5"],
+    ["nonsense", "--n", "1"],
+])
+def test_usage_error_leaves_the_next_parse_unchanged(bad):
+    before = [_parsed(argv) for argv in _EVERY_COMMAND]
+    for argv, expected in zip(_EVERY_COMMAND, before):
+        with pytest.raises(UsageError):
+            parse(bad)
+        assert _parsed(argv) == expected
+
+
+def test_importing_does_not_build_the_parser():
+    # a cold `kee` call builds the parser exactly once, when it parses
+    code = ("import hirzebruch_kee, hirzebruch_kee.cli as cli\n"
+            "info = cli._build_parser.cache_info\n"
+            "at_import = info().currsize\n"
+            "for _ in range(3):\n"
+            "    cli.parse(['solve', '--n', '1', '--beta1', '0.5'])\n"
+            "print(at_import, info().misses, info().hits)")
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["0", "1", "2"]
 
 
 def test_parse_rejects_bad_beta1_with_constraint():
@@ -263,6 +333,15 @@ def test_run_verify_passes():
     assert rows[0]["einstein_threshold"] == 1e-5
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "false fail: the Einstein gate is absolute and entrywise in the w chart, where "
+    "g_ww = phi/|w|^2 grows like (1+|z|^2)^n, so einstein_residual_max reads 1.4e-4 "
+    "on this valid profile"))
+def test_run_verify_passes_at_n_8():
+    rows, status = run(parse(["verify", "--n", "8", "--beta1", "0.2"]))
+    assert status == 0 and rows[0]["status"] == "pass"
+
+
 def test_run_classes_reports_oracles():
     cfg = parse(["classes", "--n", "1", "--beta1", "1.0"])
     rows, status = run(cfg)
@@ -311,6 +390,52 @@ def test_render_csv_round_trip():
     doc = parse_csv(render(rows, "csv"))
     assert float(doc[0]["beta2"]) == rows[0]["beta2"]
     assert doc[0]["tau"] == ""                           # blank for null
+
+
+class _Float(float):
+    pass
+
+
+# every kind of cell a report can hold; the second row lacks keys the first
+# one has and adds one, so both fill blanks in first-appearance key order
+_SYNTHETIC_ROWS = [
+    {"command": "synthetic", "none": None, "yes": True, "no": False,
+     "big": 123456789012345678901, "neg_zero": -0.0, "nan": math.nan,
+     "inf": math.inf, "ninf": -math.inf, "tenth": 0.1, "sub": _Float(2.0 / 3.0),
+     "pair": (0.1, None, True, 7, "a,b"), "text": 'say "hi", then\nnaïve — ü'},
+    {"command": "synthetic", "yes": False, "tenth": 1e-310, "extra": 1e300},
+]
+_SYNTHETIC_META = {"tool": "kee", "command": "synthetic", "flag": None,
+                   "ladder": (0.2, 0.1), "log_grid": True}
+_SYNTHETIC_BYTES = {
+    "json": (
+        b'{\n  "meta": {"tool": "kee", "command": "synthetic", "flag": null, '
+        b'"ladder": [0.20000000000000001, 0.10000000000000001], "log_grid": true},\n'
+        b'  "rows": [\n'
+        b'    {"command": "synthetic", "none": null, "yes": true, "no": false, '
+        b'"big": 123456789012345678901, "neg_zero": -0, "nan": NaN, "inf": Infinity, '
+        b'"ninf": -Infinity, "tenth": 0.10000000000000001, "sub": 0.66666666666666663, '
+        b'"pair": [0.10000000000000001, null, true, 7, "a,b"], '
+        b'"text": "say \\"hi\\", then\\nna\\u00efve \\u2014 \\u00fc", "extra": null},\n'
+        b'    {"command": "synthetic", "none": null, "yes": false, "no": null, "big": null, '
+        b'"neg_zero": null, "nan": null, "inf": null, "ninf": null, '
+        b'"tenth": 9.9999999999999694e-311, "sub": null, "pair": null, "text": null, '
+        b'"extra": 1.0000000000000001e+300}\n'
+        b'  ]\n}\n'),
+    "csv": (
+        b'command,none,yes,no,big,neg_zero,nan,inf,ninf,tenth,sub,pair,text,extra\n'
+        b'synthetic,,true,false,123456789012345678901,-0,nan,inf,-inf,0.10000000000000001,'
+        b'0.66666666666666663,"[0.10000000000000001, , true, 7, a,b]",'
+        b'"say ""hi"", then\nna\xc3\xafve \xe2\x80\x94 \xc3\xbc",\n'
+        b'synthetic,,false,,,,,,,9.9999999999999694e-311,,,,1.0000000000000001e+300\n'),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_render_bytes_of_every_cell_kind(fmt):
+    # bool is an int and a float subclass is a float: each must still be
+    # written as the isinstance chain writes it
+    assert render(_SYNTHETIC_ROWS, fmt, meta=_SYNTHETIC_META) == _SYNTHETIC_BYTES[fmt]
 
 
 def test_render_deterministic():
@@ -377,7 +502,8 @@ def test_thread_env_is_ignored(monkeypatch, capsys):
 # Golden reports in tests/data.  Every number in them needs only + - * /
 # and sqrt (solve rows, a linear scan grid, an error message), so they are
 # correctly rounded on any platform and any change to a byte is a change to
-# the report format.
+# the report format.  The installed job of .github/workflows/tests.yml runs
+# these same argvs through the console script; change both together.
 _GOLDEN = {
     "solve": ["solve", "--n", "1", "--beta1", "1.0"],
     "solve_profile": ["solve", "--n", "1", "--beta1", "1.0", "--emit-profile", "9"],

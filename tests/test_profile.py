@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import hirzebruch_kee as hk
 from hirzebruch_kee import (DomainError, eval_phi, eval_phi_exact,
                             eval_phi_prime, make_profile, ode_residual)
-from hirzebruch_kee.profile import eval_phi_expanded
 
 SQRT3 = math.sqrt(3.0)
 
@@ -155,6 +154,13 @@ def test_known_interior_value():
     # tau = 2 for the rigid case gives exactly 1/3
     p = make_profile(1, 1.0)
     assert abs(eval_phi(p, 2.0) - 1.0 / 3.0) < 1e-15
+
+
+def eval_phi_expanded(p, tau):
+    """phi from the expanded rational form, a cross-check of the factored
+    eval_phi: away from the roots they agree to about 1e-13 relative, and
+    near the roots the subtractions (tau^2 - 1 etc.) shed digits."""
+    return (tau * tau - 1.0) / (p.n * tau) + p.leading * (tau ** 3 - 1.0) / tau
 
 
 def test_factored_matches_expanded():
