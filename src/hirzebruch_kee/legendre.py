@@ -59,7 +59,12 @@ q = 0, so s(0) = 0 exactly.  So |s| >= min(A, B) |q| brackets every
 solve, and the slopes A and B give the start on either side of q = 0.
 Started there, Newton settles within 5 steps for |s| up to 1e305 (checked
 at every power of ten on eight profiles and at 80,000 random (n, beta1, s)
-draws).
+draws).  A caller that knows the root nearby, as the finite-difference
+Ricci stencil of `geometry` does from its centre, may pass a warm start;
+one that is not strictly inside the bracket (NaN and +-inf included) falls
+back to the slope start, so the solve and its stopping rule stay the same.
+A solve that has not settled after 60 steps raises RangeError naming s
+rather than return an unconverged q.
 
 One private function, _at_q, evaluates the map at q: tau, phi, ds/dq and
 the bracket C multiplies, all from one exp(-|q|).  Each Newton step makes
@@ -144,13 +149,16 @@ def s_of_tau(m: TauSMap, tau: float) -> float:
     return _s_at_q(m, math.log(xi) - math.log(rho))[0]
 
 
-def _q_of_s(m: TauSMap, s: float) -> float:
+def _q_of_s(m: TauSMap, s: float, start: float = math.nan) -> float:
+    """The root q of s(q) = s, by Newton from start if it lies strictly
+    inside the bracket, else from the slope start s/A or s/B."""
     s = float(s)
     if not math.isfinite(s):
         raise RangeError(f"s={s} is not finite; tau reaches a root only as |s| -> infinity")
     reach = abs(s) / min(m.a, m.b)
     lo, hi = -reach, reach      # bracket with F(lo) <= 0 <= F(hi)
-    q = s / (m.a if s < 0.0 else m.b)
+    # NaN and +-inf fail the test, so they take the slope start
+    q = start if lo < start < hi else s / (m.a if s < 0.0 else m.b)
     for _ in range(60):
         s_q, dsdq = _s_at_q(m, q)
         f = s_q - s
@@ -164,7 +172,7 @@ def _q_of_s(m: TauSMap, s: float) -> float:
         if abs(qn - q) <= 1e-12 * (1.0 + abs(q)):
             return qn                  # final polished Newton update
         q = qn
-    return q
+    raise RangeError(f"the solve of s(q) = s did not settle in 60 steps at s={s}")
 
 
 def tau_phi_of_s(m: TauSMap, s: float) -> tuple[float, float]:

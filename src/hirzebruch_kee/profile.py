@@ -191,14 +191,19 @@ def eval_phi_prime(p: EinsteinProfile, tau: float) -> float:
     it returns exactly the one-sided limits cbar*(1-alpha1)*(alpha2-1) = beta1
     and -cbar*(alpha2-1)*(alpha2-alpha1)/alpha2 = -beta2.
     """
-    tau = _checked_tau(p, tau)
+    return _phi_and_slope(p, _checked_tau(p, tau))[1]
+
+
+def _phi_and_slope(p: EinsteinProfile, tau: float) -> tuple[float, float]:
+    # (phi, phi') at a checked tau from one set of root offsets; phi is
+    # formed as eval_phi forms it, so both agree to the bit
     cbar = -p.leading
     xi = tau - 1.0
     rho = p.alpha2 - tau
     d2 = tau - p.alpha1
     pprime = (xi + d2) * rho - xi * d2
     phi = cbar * xi * rho * d2 / tau
-    return cbar * pprime / tau - phi / tau
+    return phi, cbar * pprime / tau - phi / tau
 
 
 def ode_residual(p: EinsteinProfile, tau: float) -> float:
@@ -206,10 +211,12 @@ def ode_residual(p: EinsteinProfile, tau: float) -> float:
 
     Returns phi'(tau) + phi(tau)/tau - 2/n - (beta1 - 2/n)*tau, which is zero
     (to rounding) for genuine profiles and order-one-in-perturbation for any
-    tampered root data, making it a cheap self-test.
+    tampered root data, making it a cheap self-test.  phi and phi' come
+    from one set of root offsets, bit for bit the values of eval_phi and
+    eval_phi_prime.
     """
     tau = float(tau)
     if not 1.0 < tau < p.alpha2:
         raise DomainError(f"tau={tau} not interior to (1, {p.alpha2})")
-    value = eval_phi_prime(p, tau) + eval_phi(p, tau) / tau
-    return value - 2.0 / p.n - 3.0 * p.leading * tau
+    phi, slope = _phi_and_slope(p, tau)
+    return slope + phi / tau - 2.0 / p.n - 3.0 * p.leading * tau

@@ -242,10 +242,11 @@ def test_nan_einstein_residual_fails(monkeypatch, capsys):
     # maxima; NaN sits in the last entry, where a plain max() loses it
     from hirzebruch_kee import HermitianForm2, geometry
 
-    def nan_ricci(p, m, pt, step=1e-3):
+    def nan_ricci(p, m, pt, step, centre):
         return HermitianForm2(g_ww=0.0, g_wz=0j, g_zz=math.nan)
 
-    monkeypatch.setattr(geometry, "ricci_fd", nan_ricci)
+    # verify reaches the stencil through _grid_point, not through ricci_fd
+    monkeypatch.setattr(geometry, "_stencil", nan_ricci)
     rows, status = run(parse(_argv("verify", "--grid", "2")))
     assert status == 1 and rows[0]["status"] == "fail"
     assert math.isnan(rows[0]["einstein_residual_max"])
@@ -331,6 +332,31 @@ def test_run_verify_passes():
     assert rows[0]["status"] == "pass"
     assert rows[0]["einstein_residual_max"] <= 1e-5
     assert rows[0]["einstein_threshold"] == 1e-5
+
+
+def test_verify_map_evaluations(monkeypatch):
+    # verify solves each of the 75 grid points' centres once, cold, and
+    # starts the 28 other stencil solves from it: 6,601 evaluations of the
+    # map at q, where cold solves of every kernel call and four centre
+    # solves per point made 10,969; the bound is halfway, so a return to
+    # cold starts fails
+    from hirzebruch_kee import geometry, legendre
+    calls, starts = [], []
+    at_q, q_of_s = legendre._at_q, geometry._q_of_s
+
+    def counted(p, q):
+        calls.append(q)
+        return at_q(p, q)
+
+    monkeypatch.setattr(legendre, "_at_q", counted)
+    monkeypatch.setattr(geometry, "_at_q", counted)
+    monkeypatch.setattr(geometry, "_q_of_s",
+                        lambda m, s, start=math.nan: starts.append(start) or q_of_s(m, s, start))
+    rows, status = run(parse(["verify", "--n", "2", "--beta1", "0.5", "--grid", "5"]))
+    assert status == 0
+    assert len(calls) < (10969 + 6601) // 2
+    assert sum(math.isnan(start) for start in starts) == 75
+    assert len(starts) == 75 * 29
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hirzebruch_kee import (DomainError, RangeError, build_map, eval_phi,
-                            log_slope_at_end, make_profile, s_of_tau,
-                            tau_of_s, tau_of_y, y_of_tau)
-from hirzebruch_kee import legendre
+from hirzebruch_kee import (DomainError, RangeError, build_map, chart_grid,
+                            eval_phi, log_slope_at_end, make_profile,
+                            ricci_fd, s_of_tau, tau_of_s, tau_of_y, y_of_tau)
+from hirzebruch_kee import geometry, legendre
 from hirzebruch_kee.legendre import _at_q, _q_of_s, _s_at_q
 
 EPS = sys.float_info.epsilon
@@ -269,6 +269,81 @@ def test_round_trip_at_hull_edges(edge):
     beyond = math.nextafter(s, 2.0 * s)
     assert edge * (_q_of_s(m, beyond) - q) > 0.0
     assert 1.0 <= tau_of_s(m, beyond) <= p.alpha2
+
+
+def _stencil_solves(p, m, monkeypatch):
+    # every (s, start) that ricci_fd hands to the solve over chart_grid(p, 5),
+    # at both step sizes h and h/2 of its Richardson pair
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_q_of_s",
+                      lambda m, s, start=math.nan: calls.append((s, start)) or _q_of_s(m, s, start))
+        for pt in chart_grid(p, 5):
+            ricci_fd(p, m, pt, step=1e-3)
+    warm = [(s, start) for s, start in calls if not math.isnan(start)]
+    assert len(calls) == 29 * 75 and len(warm) == 28 * 75    # one cold centre per point
+    return warm
+
+
+@pytest.mark.parametrize("n, b1", _WHOLE_LINE_PAIRS)
+def test_warm_stencil_solves_match_cold_and_mpmath(n, b1, monkeypatch):
+    # a stencil solve started from the centre's tangent settles in at most 2
+    # Newton steps, and its phi is within 16 eps of the cold solve's and of
+    # phi at the 40-digit root of the same closed form s(q) = s (one Newton
+    # step in mpmath from the cold double root); measured worst 8.0 eps
+    # against the cold solve and 5.5 eps against mpmath
+    p = make_profile(n, b1)
+    m = build_map(p)
+    warm = _stencil_solves(p, m, monkeypatch)
+    steps = []
+    monkeypatch.setattr(legendre, "_at_q", lambda p, q: steps.append(q) or _at_q(p, q))
+    with mp.workdps(40):
+        a, c, c0 = mp.mpf(m.a), mp.mpf(m.c), mp.mpf(m.c0)
+        a1, span, cbar = mp.mpf(p.alpha1), mp.mpf(p.span), -mp.mpf(p.leading)
+        for s, start in warm:
+            steps.clear()
+            q = _q_of_s(m, s, start)
+            assert len(steps) <= 2, (s, start, len(steps))
+            q_cold = _q_of_s(m, s)
+            phi, phi_cold = _at_q(p, q)[1], _at_q(p, q_cold)[1]
+            assert abs(phi - phi_cold) <= 16.0 * EPS * phi_cold, (s, q, q_cold)
+            r = mp.mpf(q_cold)
+            e = mp.exp(r)
+            xi = span * e / (1 + e)
+            d2 = 1 - a1 + xi
+            f = a * r + c * (mp.log(d2) + mp.log1p(e) - c0) - s
+            r -= f / (a + c * (xi / ((1 + e) * d2) + e / (1 + e)))
+            e = mp.exp(r)
+            xi, rho = span * e / (1 + e), span / (1 + e)
+            want = cbar * xi * rho * (1 - a1 + xi) / (1 + xi)
+            assert abs(phi - want) <= 16.0 * EPS * want, (s, q, phi, want)
+
+
+@pytest.mark.parametrize("n, b1", _WHOLE_LINE_PAIRS)
+def test_start_outside_the_bracket_is_the_cold_solve(n, b1):
+    # NaN, +-inf, a point beyond the bracket and a point on its edge all
+    # fall back to the slope start, so the root is the cold one to the bit
+    p = make_profile(n, b1)
+    m = build_map(p)
+    for s in (-40.0, -2.0, -1e-3, 0.0, 1e-3, 2.0, 40.0):
+        reach = abs(s) / min(m.a, m.b)
+        cold = _q_of_s(m, s)
+        for start in (math.nan, math.inf, -math.inf, 2.0 * reach + 1.0,
+                      -2.0 * reach - 1.0, reach, -reach):
+            assert _q_of_s(m, s, start) == cold, (s, start)
+
+
+def test_solve_that_does_not_settle_raises(monkeypatch):
+    # a map on which Newton cycles between two points inside the bracket
+    # must end loudly after its 60 steps, not hand back an unconverged q
+    m = build_map(make_profile(1, 0.5))
+    s = 10.0
+    monkeypatch.setattr(legendre, "_s_at_q",
+                        lambda m, q: (s + (1.0 if q >= 1.0 else -1.0), 10.0))
+    with pytest.raises(RangeError, match="s=10.0"):
+        _q_of_s(m, s, 1.0)
+    with pytest.raises(RangeError, match="s=10.0"):
+        tau_of_s(m, s)
 
 
 def _valid_beta1(n, u):

@@ -193,6 +193,21 @@ def test_ode_residual_tiny():
         assert worst < 1e-12
 
 
+def test_ode_residual_is_the_public_terms_bit_for_bit():
+    # ode_residual forms phi and phi' once; the sum must be the one built
+    # from the two public evaluations, in the same order, to the last bit
+    rng = np.random.default_rng(20261019)
+    for _ in range(2000):
+        n = int(rng.integers(1, 5))
+        beta1 = float(np.exp(rng.uniform(math.log(1e-9), math.log(min(1.0, 1.99 / n)))))
+        p = make_profile(n, beta1)
+        t = 1.0 + p.span * float(rng.uniform(1e-6, 1.0 - 1e-6))
+        if not 1.0 < t < p.alpha2:
+            continue
+        want = eval_phi_prime(p, t) + eval_phi(p, t) / t - 2.0 / n - 3.0 * p.leading * t
+        assert ode_residual(p, t) == want, (n, beta1, t)
+
+
 def test_ode_residual_rejects_endpoints():
     p = make_profile(1, 0.5)
     with pytest.raises(DomainError):
