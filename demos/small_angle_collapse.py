@@ -58,7 +58,8 @@ def main():
     print("\ncollapse report at n = 1:")
     print("  beta1    beta2        fiber length   length/beta1")
     for e in entries:
-        print(f"  {e.beta1:<7}  {e.beta2:.8f}   {e.fiber_length:.8f}     {e.rescaled_length:.4f}")
+        print(f"  {e['beta1']:<7}  {e['beta2']:.8f}   {e['fiber_length']:.8f}     "
+              f"{e['rescaled_length']:.4f}")
     print(f"  fiber length limit: pi*sqrt(1/2) = {math.pi/math.sqrt(2):.8f}")
 
 

@@ -21,8 +21,8 @@ from .geometry import (ChartPoint, HermitianForm2, chart_grid, chart_s,
                        total_volume)
 from .legendre import (TauSMap, build_map, log_slope_at_end, s_of_tau,
                        tau_of_s, tau_of_y, tau_phi_of_s, y_of_tau)
-from .limits import (CollapseEntry, alpha_series, beta2_series,
-                     collapse_entry, collapse_report, fiber_length_asymptote,
+from .limits import (alpha_series, beta2_series, collapse_entry,
+                     collapse_report, fiber_length_asymptote,
                      rescaled_fiber_metric, rescaled_phi_y, tensor_deviation)
 from .profile import (BETA1_CONSTRAINT, ConeAngles, EinsteinProfile,
                       eval_phi, eval_phi_exact, eval_phi_prime, make_profile,
@@ -32,11 +32,11 @@ from .quadrature import quad_checked
 __version__ = "0.1.0"
 
 __all__ = [
-    "BETA1_CONSTRAINT", "ChartPoint", "CollapseEntry",
-    "ConeAngles", "DivisorClass", "DomainError", "EinsteinProfile",
-    "HermitianForm2", "KeeError", "PositivityError", "QuadratureError",
-    "RangeError", "TauSMap", "UsageError", "alpha_series", "beta2_series",
-    "build_map", "canonical_class", "chart_grid", "chart_s", "class_volume",
+    "BETA1_CONSTRAINT", "ChartPoint", "ConeAngles", "DivisorClass",
+    "DomainError", "EinsteinProfile", "HermitianForm2", "KeeError",
+    "PositivityError", "QuadratureError", "RangeError", "TauSMap",
+    "UsageError", "alpha_series", "beta2_series", "build_map",
+    "canonical_class", "chart_grid", "chart_s", "class_volume",
     "collapse_entry", "collapse_report", "cone_angle_probe",
     "einstein_residual", "eval_phi", "eval_phi_exact", "eval_phi_prime",
     "fiber_class", "fiber_length", "fiber_length_asymptote", "fiber_volume",

@@ -113,7 +113,10 @@ def _build_parser() -> _Parser:
     verify = command("verify", "ODE, determinant, and Einstein residuals")
     verify.add_argument("--grid", type=_int_at_least(1), default=5,
                         help="G: Einstein residual sweeps a GxGx3 chart grid")
-    verify.add_argument("--fd-step", type=_float_in(0.0, 1.0), default=1e-3)
+    verify.add_argument("--fd-step", type=_float_in(0.0, 1.0), default=1e-3,
+                        help="Ricci stencil step; steps from 1e-3 to 3e-2 are usable: "
+                             "truncation fails the gate above, rounding (about "
+                             "eps/step^2) below")
 
     fiber = command("fiber", "fiber lengths, cone angle probes, volumes")
     # the upper end depends on the profile; cone_angle_probe reports it
@@ -196,19 +199,10 @@ def _run_verify(cfg: argparse.Namespace):
     taus = linspace(1.0, p.alpha2, 1002)[1:-1]
     ode_max = max_keep_nan([abs(ode_residual(p, t)) for t in taus])
 
-    # one solve of the map per grid point feeds the determinant defect, the
-    # metric and the Ricci stencil's centre
-    defects, residuals = [], []
-    for pt in geometry.chart_grid(p, cfg.grid):
-        g, tau, phi, residual = geometry._grid_point(p, m, pt, cfg.fd_step)
-        target = p.n * tau * phi
-        # products overflow to inf where ** 2 would raise
-        aw, az = abs(pt.w), 1.0 + abs(pt.z) * abs(pt.z)
-        scale = aw * aw * (az * az)
-        defects.append(abs(g.det() * scale - target) / target)
-        residuals.append(residual)
-    det_max = max_keep_nan(defects)
-    einstein_max = max_keep_nan(residuals)
+    # (det defect, Einstein residual) per grid point, both from one solve
+    points = [geometry._grid_point(p, m, pt, cfg.fd_step)
+              for pt in geometry.chart_grid(p, cfg.grid)]
+    det_max, einstein_max = map(max_keep_nan, zip(*points))
 
     ok = (ode_max <= ODE_THRESHOLD and det_max <= DET_THRESHOLD
           and einstein_max <= EINSTEIN_THRESHOLD)
@@ -265,14 +259,14 @@ def _run_classes(cfg: argparse.Namespace):
     adj_zero = cohomology.intersect(k + zn, zn)
     adj_inf = cohomology.intersect(k + zi, zi)
     ratio_defect = abs(p.alpha2 - float(kee.b) / p.n)
+    kahler = cohomology.is_kahler(kee)
     ok = (prop <= PROPORTIONALITY_THRESHOLD and vol_rel <= VOLUME_MATCH_THRESHOLD
           and adj_zero == -2 and adj_inf == -2
-          and ratio_defect <= PROPORTIONALITY_THRESHOLD
-          and cohomology.is_kahler(kee))
+          and ratio_defect <= PROPORTIONALITY_THRESHOLD and kahler)
     row = {
         "command": cfg.command, "n": p.n, "beta1": p.beta1, "beta2": p.beta2,
         "lambda": p.lam, "kee_a": float(kee.a), "kee_b": float(kee.b),
-        "is_kahler": cohomology.is_kahler(kee),
+        "is_kahler": kahler,
         "class_volume": float(vol), "total_volume_quad": total,
         "volume_match_rel": vol_rel, "volume_threshold": VOLUME_MATCH_THRESHOLD,
         "proportionality_defect": prop,
@@ -286,16 +280,13 @@ def _run_classes(cfg: argparse.Namespace):
 
 def _run_limit(cfg: argparse.Namespace):
     probe = limits.DEFAULT_PROBE
+    # beta1 is named first to hold its column; **rung keeps that position
     return [{
-        "command": cfg.command, "n": cfg.n, "beta1": e.beta1,
+        "command": cfg.command, "n": cfg.n, "beta1": rung["beta1"],
         "probe_z_re": probe.z.real, "probe_z_im": probe.z.imag,
         "probe_w_re": probe.w.real, "probe_w_im": probe.w.imag,
-        "beta2": e.beta2, "alpha2": e.alpha2,
-        "fiber_length": e.fiber_length, "rescaled_length": e.rescaled_length,
-        "rescaled_coeff_y": e.rescaled_coeff_y,
-        "rescaled_coeff_theta": e.rescaled_coeff_theta,
-        "tensor_deviation": e.tensor_deviation_at_probe,
-    } for e in limits.collapse_report(cfg.n, cfg.beta1_list)]
+        **rung,
+    } for rung in limits.collapse_report(cfg.n, cfg.beta1_list)]
 
 
 _RUNNERS = {

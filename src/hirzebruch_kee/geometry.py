@@ -32,7 +32,9 @@ Every value of phi at a fiber point comes from the map's stretched
 coordinate q (legendre._q_of_s, then legendre._at_q), never from a rounded
 tau.  A chart point's q is solved once, in _centre, and the metric, the
 determinant defect of `verify` and the centre of the Ricci stencil all read
-that one solve; the stencil's other solves start from it.  The two volumes
+that one solve; the stencil's other solves start from it.  `verify`'s two
+per-point values, the relative defect of the determinant identity above
+and the Einstein residual, are both formed in _grid_point.  The two volumes
 are integrals over the whole q-line: the fiber area is 2 pi times the
 integral of phi ds, and the total volume 2 n (2 pi)^2 times that of
 tau phi ds, each by the checked trapezoid rule of `quadrature`.  Their
@@ -273,13 +275,21 @@ def chart_grid(p: EinsteinProfile, size: int = 5) -> list[ChartPoint]:
 
 
 def _grid_point(p: EinsteinProfile, m: TauSMap, pt: ChartPoint,
-                step: float) -> tuple[HermitianForm2, float, float, float]:
-    """(metric, tau, phi, || ricci_fd - lam * g ||_max) at one chart point,
-    all from one solve of the map at the point."""
+                step: float) -> tuple[float, float]:
+    """(det defect, || ricci_fd - lam * g ||_max) at one chart point, both
+    from one solve of the map at the point.
+
+    The det defect is the relative defect of the identity
+    det g * |w|^2 (1+|z|^2)^2 = n tau phi, with g the w-chart metric.
+    """
     centre = _centre(p, m, pt)
     _, _, tau, phi, _, form = centre
     g = _w_chart_metric(form, pt)
-    return g, tau, phi, _stencil(p, m, pt, step, centre).max_abs_diff(g.scaled(p.lam))
+    target = p.n * tau * phi
+    # products overflow to inf where ** 2 would raise
+    aw, az = abs(pt.w), 1.0 + abs(pt.z) * abs(pt.z)
+    defect = abs(g.det() * (aw * aw * (az * az)) - target) / target
+    return defect, _stencil(p, m, pt, step, centre).max_abs_diff(g.scaled(p.lam))
 
 
 def einstein_residual(p: EinsteinProfile, m: TauSMap, grid: list[ChartPoint],
@@ -293,7 +303,7 @@ def einstein_residual(p: EinsteinProfile, m: TauSMap, grid: list[ChartPoint],
     """
     if not grid:
         raise DomainError("einstein_residual needs at least one grid point")
-    return max_keep_nan([_grid_point(p, m, pt, step)[3] for pt in grid])
+    return max_keep_nan([_grid_point(p, m, pt, step)[1] for pt in grid])
 
 
 # Carlson's duplication stops once 4^-m Q < A, which bounds the relative

@@ -36,7 +36,6 @@ deviation from the Fubini-Study pullback (which decays like beta1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .geometry import ChartPoint, fiber_length, fs_pullback, metric_at
@@ -108,35 +107,22 @@ def fiber_length_asymptote(n: int) -> float:
     return math.pi * math.sqrt(n / 2.0)
 
 
-@dataclass(frozen=True)
-class CollapseEntry:
-    """One row of collapse diagnostics at a fixed beta1."""
+def collapse_entry(n: int, beta1: float) -> dict:
+    """One row of the `limit` report at a fixed beta1, keyed by its columns.
 
-    beta1: float
-    beta2: float
-    alpha2: float
-    fiber_length: float
-    rescaled_length: float
-    rescaled_coeff_y: float
-    rescaled_coeff_theta: float
-    tensor_deviation_at_probe: float
-
-
-def collapse_entry(n: int, beta1: float, probe: ChartPoint = DEFAULT_PROBE) -> CollapseEntry:
+    The tensor deviation is measured at DEFAULT_PROBE, the point the report
+    echoes.
+    """
     p = make_profile(n, beta1)
     m = build_map(p)
     full = fiber_length(p, 1.0, p.alpha2)
     cy, cth = rescaled_fiber_metric(n, beta1, 0.0)
-    return CollapseEntry(
-        beta1=p.beta1,
-        beta2=p.beta2,
-        alpha2=p.alpha2,
-        fiber_length=full,
-        rescaled_length=full / p.beta1,
-        rescaled_coeff_y=cy,
-        rescaled_coeff_theta=cth,
-        tensor_deviation_at_probe=tensor_deviation(p, m, probe),
-    )
+    return {
+        "beta1": p.beta1, "beta2": p.beta2, "alpha2": p.alpha2,
+        "fiber_length": full, "rescaled_length": full / p.beta1,
+        "rescaled_coeff_y": cy, "rescaled_coeff_theta": cth,
+        "tensor_deviation": tensor_deviation(p, m, DEFAULT_PROBE),
+    }
 
 
 def _checked_ladder(beta1_list) -> tuple[float, ...]:
@@ -149,7 +135,7 @@ def _checked_ladder(beta1_list) -> tuple[float, ...]:
     return values
 
 
-def collapse_report(n: int, beta1_list,
-                    probe: ChartPoint = DEFAULT_PROBE) -> tuple[CollapseEntry, ...]:
-    """Diagnostics along a strictly decreasing ladder of beta1 values, one entry a rung."""
-    return tuple(collapse_entry(n, b, probe=probe) for b in _checked_ladder(beta1_list))
+def collapse_report(n: int, beta1_list) -> tuple[dict, ...]:
+    """The `limit` report's rows along a strictly decreasing ladder of beta1
+    values, one collapse_entry a rung, each measured at DEFAULT_PROBE."""
+    return tuple(collapse_entry(n, b) for b in _checked_ladder(beta1_list))

@@ -157,11 +157,7 @@ def eval_phi(p: EinsteinProfile, tau: float) -> float:
     it loses no accuracy near the endpoints where the expanded form cancels
     catastrophically.  Exact zeros at tau = 1 and tau = alpha2.
     """
-    tau = _checked_tau(p, tau)
-    xi = tau - 1.0
-    rho = p.alpha2 - tau
-    d2 = tau - p.alpha1
-    return -p.leading * xi * rho * d2 / tau
+    return _phi_and_slope(p, _checked_tau(p, tau))[0]
 
 
 def eval_phi_exact(n: int, beta1: Fraction, tau: Fraction) -> Fraction:
@@ -195,8 +191,8 @@ def eval_phi_prime(p: EinsteinProfile, tau: float) -> float:
 
 
 def _phi_and_slope(p: EinsteinProfile, tau: float) -> tuple[float, float]:
-    # (phi, phi') at a checked tau from one set of root offsets; phi is
-    # formed as eval_phi forms it, so both agree to the bit
+    # (phi, phi') at a checked tau from one set of root offsets: the one
+    # place phi is formed, so eval_phi and ode_residual agree to the bit
     cbar = -p.leading
     xi = tau - 1.0
     rho = p.alpha2 - tau

@@ -368,6 +368,37 @@ def test_run_verify_passes_at_n_8():
     assert status == 0 and rows[0]["status"] == "pass"
 
 
+@pytest.mark.parametrize("n, beta1", [(1, 0.5), (3, 0.4), (2, 1e-3)])
+def test_verify_maxima_match_the_public_functions(n, beta1):
+    # both maxima of the report, bit for bit, from the public functions:
+    # metric_at and tau_phi_of_s make the same cold solve as the report's
+    # centre, and the determinant identity is det g |w|^2 (1+|z|^2)^2 = n tau phi
+    from hirzebruch_kee import (build_map, chart_grid, chart_s, einstein_residual,
+                                make_profile, metric_at, tau_phi_of_s)
+    rows, _ = run(parse(["verify", "--n", str(n), "--beta1", str(beta1), "--grid", "2"]))
+    p = make_profile(n, beta1)
+    m = build_map(p)
+    grid = chart_grid(p, 2)
+    assert rows[0]["einstein_residual_max"] == einstein_residual(p, m, grid, 1e-3)
+    defects = []
+    for pt in grid:
+        tau, phi = tau_phi_of_s(m, chart_s(n, pt))
+        aw, az = abs(pt.w), 1.0 + abs(pt.z) * abs(pt.z)
+        defects.append(abs(metric_at(p, m, pt).det() * (aw * aw * (az * az)) - n * tau * phi)
+                       / (n * tau * phi))
+    assert rows[0]["det_defect_max"] == max(defects)
+
+
+def test_limit_deviation_matches_tensor_deviation_at_the_echoed_probe():
+    from hirzebruch_kee import ChartPoint, build_map, make_profile, tensor_deviation
+    rows, _ = run(parse(["limit", "--n", "2", "--beta1-seq", "0.3,0.05,1e-4"]))
+    for row in rows:
+        p = make_profile(2, row["beta1"])
+        probe = ChartPoint(z=complex(row["probe_z_re"], row["probe_z_im"]),
+                           w=complex(row["probe_w_re"], row["probe_w_im"]))
+        assert row["tensor_deviation"] == tensor_deviation(p, build_map(p), probe)
+
+
 def test_run_classes_reports_oracles():
     cfg = parse(["classes", "--n", "1", "--beta1", "1.0"])
     rows, status = run(cfg)
@@ -525,11 +556,14 @@ def test_thread_env_is_ignored(monkeypatch, capsys):
             assert capsys.readouterr() == clean
 
 
-# Golden reports in tests/data.  Every number in them needs only + - * /
-# and sqrt (solve rows, a linear scan grid, an error message), so they are
-# correctly rounded on any platform and any change to a byte is a change to
-# the report format.  The installed job of .github/workflows/tests.yml runs
-# these same argvs through the console script; change both together.
+# Golden reports in tests/data.  Every number in the solve, scan and error
+# goldens needs only + - * / and sqrt, so they are correctly rounded on any
+# platform and any change to a byte is a change to the report format.  The
+# limit golden pins the column order of the limit rows; its numbers also
+# read log, exp and atan, so a libm that rounds those differently from
+# glibc's may move their last digits.  The installed job of
+# .github/workflows/tests.yml runs these same argvs through the console
+# script; change both together.
 _GOLDEN = {
     "solve": ["solve", "--n", "1", "--beta1", "1.0"],
     "solve_profile": ["solve", "--n", "1", "--beta1", "1.0", "--emit-profile", "9"],
@@ -537,6 +571,7 @@ _GOLDEN = {
                     "--count", "20", "--linear"],
     # the probe tau = 1.9 lies past alpha2 = 1.618...: a DomainError row
     "fiber_error": ["fiber", "--n", "1", "--beta1", "0.5", "--probe-distance", "0.9"],
+    "limit": ["limit", "--n", "1", "--beta1-seq", "0.2,0.1,0.05"],
 }
 
 

@@ -486,7 +486,7 @@ def test_fiber_lengths_never_reach_quadrature(monkeypatch, capsys):
     assert fiber_length(p, 1.0, p.alpha2) > 0.0
     assert cone_angle_probe(p, "lower", 1.0 + 1e-6) > 0.0
     assert cone_angle_probe(p, "upper", p.alpha2 - 1e-6) > 0.0
-    assert collapse_entry(1, 1e-3).fiber_length > 0.0
+    assert collapse_entry(1, 1e-3)["fiber_length"] > 0.0
     assert main(["limit", "--n", "3", "--beta1-seq", "0.666666,0.5"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) == 2 and not any("error" in r for r in rows)
