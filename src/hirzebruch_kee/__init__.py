@@ -20,10 +20,11 @@ from .geometry import (ChartPoint, HermitianForm2, chart_grid, chart_s,
                        fiber_volume, fs_pullback, metric_at, ricci_fd,
                        total_volume)
 from .legendre import (TauSMap, build_map, log_slope_at_end, s_of_tau,
-                       tau_of_s, tau_of_y, tau_phi_of_s, y_of_tau)
+                       tau_of_s, tau_phi_of_s)
 from .limits import (alpha_series, beta2_series, collapse_entry,
                      collapse_report, fiber_length_asymptote,
-                     rescaled_fiber_metric, rescaled_phi_y, tensor_deviation)
+                     rescaled_fiber_metric, rescaled_phi_y, tau_of_y,
+                     tensor_deviation, y_of_tau)
 from .profile import (BETA1_CONSTRAINT, ConeAngles, EinsteinProfile,
                       eval_phi, eval_phi_exact, eval_phi_prime, make_profile,
                       ode_residual)

@@ -65,15 +65,15 @@ def _float_in(lo: float, hi: float = math.inf):
     return check
 
 
-def _int_at_least(k: int):
-    """Make a type= callable that accepts an integer >= k."""
+def _int_in(lo: int, hi: float = math.inf):
+    """Make a type= callable that accepts an integer in [lo, hi]."""
     def check(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < k:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {k}, got {text}")
+        if value is None or not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be an integer in [{lo}, {hi:g}], got {text}")
         return value
     return check
 
@@ -94,29 +94,31 @@ def _build_parser() -> _Parser:
 
     def command(name, summary, beta1=True):
         sp = sub.add_parser(name, help=summary)
-        sp.add_argument("--n", type=_int_at_least(1), required=True)
+        sp.add_argument("--n", type=_int_in(1), required=True)
         if beta1:
             sp.add_argument("--beta1", type=float, required=True)
         return sp
 
     solve = command("solve", "profile data for one (n, beta1)")
-    solve.add_argument("--emit-profile", type=_int_at_least(2), default=None, metavar="N",
-                       help="append N equispaced (tau, phi, phi') samples")
+    solve.add_argument("--emit-profile", type=_int_in(2, 100_000), default=None, metavar="N",
+                       help="append N equispaced (tau, phi, phi') samples, N <= 100000")
 
     scan = command("scan", "sweep beta1 over a grid", beta1=False)
     scan.add_argument("--beta1-min", type=float, required=True)
     scan.add_argument("--beta1-max", type=float, required=True)
-    scan.add_argument("--count", type=_int_at_least(1), required=True)
+    scan.add_argument("--count", type=_int_in(1, 100_000), required=True,
+                      help="number of beta1 values, at most 100000")
     scan.add_argument("--linear", dest="log_grid", action="store_false",
                       help="linear beta1 grid (default is logarithmic)")
 
     verify = command("verify", "ODE, determinant, and Einstein residuals")
-    verify.add_argument("--grid", type=_int_at_least(1), default=5,
-                        help="G: Einstein residual sweeps a GxGx3 chart grid")
+    verify.add_argument("--grid", type=_int_in(1, 100), default=5,
+                        help="G <= 100: Einstein residual sweeps a GxGx3 chart grid")
     verify.add_argument("--fd-step", type=_float_in(0.0, 1.0), default=1e-3,
                         help="Ricci stencil step; steps from 1e-3 to 3e-2 are usable: "
                              "truncation fails the gate above, rounding (about "
-                             "eps/step^2) below")
+                             "eps/step^2) below.  The default fails valid profiles "
+                             "from n = 6 up; 1e-2 passes them up to n = 9")
 
     fiber = command("fiber", "fiber lengths, cone angle probes, volumes")
     # the upper end depends on the profile; cone_angle_probe reports it
@@ -162,10 +164,10 @@ def parse(argv) -> argparse.Namespace:
     return ns
 
 
-def _solve_row(cfg: argparse.Namespace, p: EinsteinProfile, kind: str = "summary",
-               tau: float | None = None) -> dict:
+def _solve_row(cfg: argparse.Namespace, p: EinsteinProfile, tau: float | None = None) -> dict:
     row = {
-        "command": cfg.command, "kind": kind, "n": p.n, "beta1": p.beta1,
+        "command": cfg.command, "kind": "summary" if tau is None else "profile",
+        "n": p.n, "beta1": p.beta1,
         "beta2": p.beta2, "lambda": p.lam, "alpha1": p.alpha1,
         "alpha2": p.alpha2, "leading": p.leading,
         "tau": None, "phi": None, "phi_prime": None,
@@ -179,11 +181,8 @@ def _solve_row(cfg: argparse.Namespace, p: EinsteinProfile, kind: str = "summary
 
 def _run_solve(cfg: argparse.Namespace):
     p = make_profile(cfg.n, cfg.beta1)
-    rows = [_solve_row(cfg, p)]
-    if cfg.emit_profile:
-        for tau in linspace(1.0, p.alpha2, cfg.emit_profile):
-            rows.append(_solve_row(cfg, p, kind="profile", tau=tau))
-    return rows
+    taus = linspace(1.0, p.alpha2, cfg.emit_profile) if cfg.emit_profile else []
+    return [_solve_row(cfg, p, tau) for tau in (None, *taus)]
 
 
 def _run_scan(cfg: argparse.Namespace):
@@ -279,14 +278,8 @@ def _run_classes(cfg: argparse.Namespace):
 
 
 def _run_limit(cfg: argparse.Namespace):
-    probe = limits.DEFAULT_PROBE
-    # beta1 is named first to hold its column; **rung keeps that position
-    return [{
-        "command": cfg.command, "n": cfg.n, "beta1": rung["beta1"],
-        "probe_z_re": probe.z.real, "probe_z_im": probe.z.imag,
-        "probe_w_re": probe.w.real, "probe_w_im": probe.w.imag,
-        **rung,
-    } for rung in limits.collapse_report(cfg.n, cfg.beta1_list)]
+    return [{"command": cfg.command, "n": cfg.n, **rung}
+            for rung in limits.collapse_report(cfg.n, cfg.beta1_list)]
 
 
 _RUNNERS = {
@@ -378,6 +371,3 @@ def main(argv=None) -> int:
         return 3
     return status
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -52,9 +52,6 @@ class DivisorClass:
         k = _as_coeff(k)
         return DivisorClass(self.n, k * self.a, k * self.b)
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.n, -self.a, -self.b)
-
 
 def _same_surface(x: DivisorClass, y: DivisorClass) -> None:
     if x.n != y.n:
@@ -138,8 +135,7 @@ def proportionality_check(n: int, beta1: float, beta2: float) -> float:
     rounding-level; a wrong beta2 shows up at its own magnitude.
     """
     p = make_profile(n, beta1)
-    lam = 2.0 / n - beta1
-    lhs = lam * kee_class(n, p.beta1, p.beta2)
+    lhs = p.lam * kee_class(n, p.beta1, p.beta2)
     rhs = (-1 * canonical_class(n)
            - (1.0 - beta1) * zero_section(n)
            - (1.0 - beta2) * infinity_section(n))

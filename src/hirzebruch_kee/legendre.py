@@ -43,9 +43,10 @@ So the map covers every finite s.  phi is formed from q as well
 span sigma(-q), so it keeps its relative accuracy where tau has
 rounded onto a root, and is 0 only once sigma underflows, near |q| = 745.
 
-The coefficients come from the stored roots and leading coefficient, never
-from the beta fields, so a profile with tampered roots stays inconsistent
-and the finite-difference Einstein check still sees it.
+The coefficients come from the stored roots and the leading coefficient,
+which the profile derives from n and beta1, never from beta2, so a profile
+with tampered roots stays inconsistent and the finite-difference Einstein
+check still sees it.
 
 tau_of_s inverts the formula by safeguarded Newton in q with the analytic
 density
@@ -76,11 +77,10 @@ the closed form s(q) is written once, in _s_at_q.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
-from .profile import EinsteinProfile, _checked_tau
+from .profile import EinsteinProfile
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,30 +207,3 @@ def log_slope_at_end(m: TauSMap, end: str, s_probe: float) -> float:
     # + const, whose q-derivative is sigma(-q) - sigma(q) = -tanh(q/2) plus
     # alpha1 dtau/dq / ((tau - alpha1) tau); dtau/dq = phi ds/dq
     return -math.tanh(0.5 * q) / dsdq + p.alpha1 * phi / ((tau - p.alpha1) * tau)
-
-
-def y_of_tau(p: EinsteinProfile, tau: float) -> float:
-    """Collapse-rescaled fiber coordinate y = (tau - 1 - n b/2)/(n b^2/2).
-
-    Centered at the small-angle fiber midpoint and scaled so the fiber stays
-    order-one as beta1 -> 0; y(1) = -1/beta1 exactly.  DomainError once
-    beta1^2 leaves the normal doubles (beta1 below about 1.5e-154, a valid
-    angle only for n above about 1e138), where the scale and the rescaled
-    metric's division by beta1^2 would round to 0.
-    """
-    tau = _checked_tau(p, tau)
-    if not p.beta1 * p.beta1 >= sys.float_info.min:
-        raise DomainError(f"y scales by beta1^2, not a normal double at beta1={p.beta1}")
-    nb = p.n * p.beta1
-    return (tau - 1.0 - 0.5 * nb) / (0.5 * nb * p.beta1)
-
-
-def tau_of_y(p: EinsteinProfile, y: float) -> float:
-    """Inverse of y_of_tau; y = 0 is tau = 1 + n*beta1/2 exactly."""
-    y = float(y)
-    nb = p.n * p.beta1
-    y_top = y_of_tau(p, p.alpha2)
-    tol = 16.0 * math.ulp(max(1.0, abs(y_top), 1.0 / p.beta1))
-    if not -1.0 / p.beta1 - tol <= y <= y_top + tol:
-        raise DomainError(f"y={y} outside [{-1.0 / p.beta1}, {y_top}]")
-    return 1.0 + 0.5 * nb + y * (0.5 * nb * p.beta1)

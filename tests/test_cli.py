@@ -179,10 +179,14 @@ _BAD_FLAGS = [
 ] + [
     (cmd, "--s-hull", v) for cmd in ("verify", "limit") for v in ("nan", "inf", "0.5")
 ] + [
-    ("fiber", "--probe-distance", v) for v in ("nan", "inf", "0", "-0.1")
+    ("fiber", "--probe-distance", v) for v in ("nan", "inf", "0", "-0.1", "abc")
 ] + [
+    ("verify", "--fd-step", "abc"),
     ("solve", "--n", "0"), ("verify", "--grid", "0"), ("scan", "--count", "0"),
     ("solve", "--emit-profile", "1"),
+    # one above each size cap
+    ("verify", "--grid", "101"), ("scan", "--count", "100001"),
+    ("solve", "--emit-profile", "100001"),
 ]
 
 
@@ -365,6 +369,14 @@ def test_verify_map_evaluations(monkeypatch):
     "on this valid profile"))
 def test_run_verify_passes_at_n_8():
     rows, status = run(parse(["verify", "--n", "8", "--beta1", "0.2"]))
+    assert status == 0 and rows[0]["status"] == "pass"
+
+
+def test_run_verify_passes_at_n_8_with_a_wider_step():
+    # a step of 1e-2 lifts the stencil's rounding floor, which the large
+    # entries of g at n = 8 amplify: einstein_residual_max reads 1.1e-6
+    rows, status = run(parse(["verify", "--n", "8", "--beta1", "0.2", "--grid", "3",
+                              "--fd-step", "1e-2"]))
     assert status == 0 and rows[0]["status"] == "pass"
 
 
@@ -556,31 +568,24 @@ def test_thread_env_is_ignored(monkeypatch, capsys):
             assert capsys.readouterr() == clean
 
 
-# Golden reports in tests/data.  Every number in the solve, scan and error
-# goldens needs only + - * / and sqrt, so they are correctly rounded on any
-# platform and any change to a byte is a change to the report format.  The
-# limit golden pins the column order of the limit rows; its numbers also
-# read log, exp and atan, so a libm that rounds those differently from
-# glibc's may move their last digits.  The installed job of
-# .github/workflows/tests.yml runs these same argvs through the console
-# script; change both together.
-_GOLDEN = {
-    "solve": ["solve", "--n", "1", "--beta1", "1.0"],
-    "solve_profile": ["solve", "--n", "1", "--beta1", "1.0", "--emit-profile", "9"],
-    "scan_linear": ["scan", "--n", "2", "--beta1-min", "0.05", "--beta1-max", "0.9",
-                    "--count", "20", "--linear"],
-    # the probe tau = 1.9 lies past alpha2 = 1.618...: a DomainError row
-    "fiber_error": ["fiber", "--n", "1", "--beta1", "0.5", "--probe-distance", "0.9"],
-    "limit": ["limit", "--n", "1", "--beta1-seq", "0.2,0.1,0.05"],
-}
+# Golden reports in tests/data, listed with their argv and exit status in
+# tests/data/golden.json, which the installed job of
+# .github/workflows/tests.yml reads too.  Every number in the solve, scan
+# and error goldens needs only + - * / and sqrt, so they are correctly
+# rounded on any platform and any change to a byte is a change to the
+# report format.  In fiber_error the probe tau = 1.9 lies past
+# alpha2 = 1.618...: a DomainError row.  The limit golden pins the column
+# order of the limit rows; its numbers also read log, exp and atan, so a
+# libm that rounds those differently from glibc's may move their last digits.
+_GOLDEN = json.loads((_DATA / "golden.json").read_text())
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("name", sorted(_GOLDEN))
 def test_report_bytes_match_golden(name, fmt, tmp_path):
     target = tmp_path / f"report.{fmt}"
-    status = main(_GOLDEN[name] + ["--format", fmt, "--out", str(target)])
-    assert status == (1 if name == "fiber_error" else 0)
+    status = main(_GOLDEN[name]["argv"] + ["--format", fmt, "--out", str(target)])
+    assert status == _GOLDEN[name]["status"]
     assert target.read_bytes() == (_DATA / f"{name}.{fmt}").read_bytes()
 
 

@@ -11,6 +11,7 @@ from hirzebruch_kee import (ChartPoint, DomainError, alpha_series,
                             collapse_report, eval_phi, fiber_length_asymptote,
                             make_profile, metric_at, rescaled_fiber_metric,
                             rescaled_phi_y, tau_of_y, tensor_deviation)
+from hirzebruch_kee.limits import DEFAULT_PROBE
 
 BETA1_LADDER = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -237,3 +238,11 @@ def test_collapse_entry_fields():
     assert e["beta2"] == p.beta2
     assert e["alpha2"] == p.alpha2
     assert e["tensor_deviation"] > 0.0
+    # the probe columns sit right after beta1 and give the point at which
+    # the tensor deviation is measured
+    assert list(e)[:6] == ["beta1", "probe_z_re", "probe_z_im", "probe_w_re", "probe_w_im",
+                           "beta2"]
+    pt = ChartPoint(z=complex(e["probe_z_re"], e["probe_z_im"]),
+                    w=complex(e["probe_w_re"], e["probe_w_im"]))
+    assert pt == DEFAULT_PROBE
+    assert e["tensor_deviation"] == tensor_deviation(p, build_map(p), pt)

@@ -225,17 +225,23 @@ def test_eval_phi_outside_domain():
 
 
 def test_span_is_derived_from_alpha2():
-    # span is formed once, in __post_init__, so a replaced alpha2 carries
-    # its own span and a caller cannot pass one
+    # leading and span are formed once, in __post_init__, so a replaced
+    # alpha2 carries its own span and a caller can pass neither; lam is a
+    # property of (n, beta1), and the inputs are n, beta1, the roots and beta2
     p = make_profile(1, 1.0)
     assert p.span == p.alpha2 - 1.0
+    assert p.leading == (p.beta1 - 2.0 / p.n) / 3.0
+    assert p.lam == 2.0 / p.n - p.beta1
     for a2 in (1.5, 3.25, 1.0 + 1e-12):
         q = dataclasses.replace(p, alpha2=a2)
         assert q.span == a2 - 1.0
-    with pytest.raises(TypeError):
-        hk.EinsteinProfile(n=1, beta1=1.0, leading=p.leading, alpha1=p.alpha1,
-                           alpha2=p.alpha2, angles=p.angles, span=1.0)
-    assert [f.name for f in dataclasses.fields(hk.ConeAngles)] == ["beta2", "lam"]
+        assert q.leading == p.leading
+    for derived in ("leading", "span"):
+        with pytest.raises(TypeError):
+            hk.EinsteinProfile(n=1, beta1=1.0, alpha1=p.alpha1, alpha2=p.alpha2,
+                               angles=p.angles, **{derived: 1.0})
+    assert hk.EinsteinProfile(1, 1.0, p.alpha1, p.alpha2, p.angles) == p
+    assert [f.name for f in dataclasses.fields(hk.ConeAngles)] == ["beta2"]
 
 
 @pytest.mark.parametrize("n, beta1", [(1, 1e-16), (1, 1.1e-16), (3, 3e-17), (1, 5e-324)])
@@ -276,10 +282,17 @@ _RIGID = make_profile(1, 1.0)
     lambda: hk.fiber_length(_RIGID, 1.5, math.inf),
     lambda: hk.y_of_tau(_RIGID, math.nan),
     lambda: hk.y_of_tau(_RIGID, _RIGID.alpha2 + 1e-9),
+    lambda: hk.cone_angle_probe(_RIGID, "middle", 1.5),
+    lambda: hk.alpha_series(1, 0.5, "alpha3"),
+    lambda: hk.collapse_report(1, []),
+    lambda: hk.rescaled_fiber_metric(1, 0.5, -2.0),     # phi is 0 at the band edge
+    lambda: hk.DivisorClass(1, 1j, 0),
 ], ids=["kee-nan-beta1", "kee-nan-beta2", "kee-beta1-out", "kee-beta2-above-beta1",
         "kee-beta2-zero", "kee-bool-n", "class-n0", "asymptote-float-n", "rescaled-nan-y",
         "rescaled-nan-beta1", "exact-tau0", "exact-below-1", "exact-above-alpha2",
-        "exact-n0", "length-nan", "length-inf", "y-nan", "y-above-alpha2"])
+        "exact-n0", "length-nan", "length-inf", "y-nan", "y-above-alpha2",
+        "probe-bad-end", "series-bad-root", "ladder-empty", "rescaled-band-edge",
+        "class-complex-coeff"])
 def test_domain_checks_refuse_bad_input(call):
     # every input domain is checked in profile, so NaN, inf, an angle out of
     # range or a momentum off [1, alpha2] raise DomainError, never return
