@@ -4,12 +4,12 @@ Subcommands: solve, scan, verify, fiber, classes, limit.  Reports are flat
 key-value rows, emitted as JSON ({"meta": ..., "rows": [...]}) or CSV with a
 header row, every float serialized with 17 significant digits so that
 parsing the report reproduces the computed doubles exactly.  Output is byte
-deterministic: rows are sorted by (n, beta1), key order is fixed, sweeps
-run serially, and no environment variable is read.  Exit codes: 0 success,
-1 a row has status "fail" (a verification residual exceeded its threshold)
-or the report is an error row (a numeric error), 2 usage error, 3 I/O
-error.  The exit status is read off the rows, so it always agrees with the
-report.
+deterministic: each runner emits its rows in (n, beta1) order, key order
+is fixed, sweeps run serially, and no environment variable is read.  Exit
+codes: 0 success, 1 a row has status "fail" (a verification residual
+exceeded its threshold) or the report is an error row (a numeric error), 2
+usage error, 3 I/O error.  The exit status is read off the rows, so it
+always agrees with the report.
 
 The argparse parser is the one declaration of each flag: its name, default
 and validator (a type= callable).  It is built once per process, at the
@@ -187,7 +187,9 @@ def _run_solve(cfg: argparse.Namespace):
 
 def _run_scan(cfg: argparse.Namespace):
     spaced = geomspace if cfg.log_grid else linspace
-    grid = spaced(cfg.beta1_min, cfg.beta1_max, cfg.count)
+    # geomspace's interior points come from pow and need not lie between
+    # its exact ends: on a range of a few ulp they fall on either side
+    grid = sorted(spaced(cfg.beta1_min, cfg.beta1_max, cfg.count))
     return [_solve_row(cfg, make_profile(cfg.n, beta1)) for beta1 in grid]
 
 
@@ -278,8 +280,9 @@ def _run_classes(cfg: argparse.Namespace):
 
 
 def _run_limit(cfg: argparse.Namespace):
+    # the ladder decreases, and the report lists beta1 increasing
     return [{"command": cfg.command, "n": cfg.n, **rung}
-            for rung in limits.collapse_report(cfg.n, cfg.beta1_list)]
+            for rung in reversed(limits.collapse_report(cfg.n, cfg.beta1_list))]
 
 
 _RUNNERS = {
@@ -299,7 +302,6 @@ def run(cfg: argparse.Namespace):
         rows = _RUNNERS[cfg.command](cfg)
     except KeeError as exc:
         return [{"command": cfg.command, "error": f"{type(exc).__name__}: {exc}"}], 1
-    rows.sort(key=lambda r: (r.get("n", 0), r.get("beta1", 0.0)))
     return rows, int(any(row.get("status") == "fail" for row in rows))
 
 

@@ -13,13 +13,15 @@ with the exact determinant identity det g * |w|^2 (1+|z|^2)^2 = n tau phi.
 In the log chart (W = log w, z) the same metric reads g_WW = phi,
 g_Wz = n phi z/(1+|z|^2) and the same g_zz: functions of s and z alone,
 with no power of |w| and no arg w, as the fiber rotation invariance of the
-Calabi ansatz requires.  One kernel assembles that form, and the Ricci
-form is recovered from it purely numerically as -dd^c log det g, by
-central second differences in (log|w|, Re z, Im z) with Richardson
-extrapolation, and compared against lam * g.  Nothing of the closed-form
-curvature enters that check, which is the point.  Both the metric and the
-Ricci form leave the log chart through one map to the w chart, which
-refuses an entry that overflows.
+Calabi ansatz requires.  One kernel assembles that form's entries and
+its determinant as plain numbers, and the Ricci form is recovered from
+them purely numerically as -dd^c log det g, by central second differences
+in (log|w|, Re z, Im z) with Richardson extrapolation, and compared
+against lam * g.  The stencil reads the kernel's determinant and builds no
+form per stencil value; only its centre is wrapped in a HermitianForm2.
+Nothing of the closed-form curvature enters that check, which is the
+point.  Both the metric and the Ricci form leave the log chart through one
+map to the w chart, which refuses an entry that overflows.
 
 Restricted to a fiber the metric is dtau^2/(2 phi) + 2 phi dtheta^2, so the
 radial arclength element is dtau/sqrt(2 phi).  The factor 2 is kept exactly
@@ -134,25 +136,29 @@ def _to_w_chart(f: HermitianForm2, w: complex) -> HermitianForm2:
 
 
 def _log_chart_form(p: EinsteinProfile, s: float, z: complex,
-                    tau: float, phi: float) -> HermitianForm2:
-    """The metric in the log chart (W = log w, z) from the map's tau and phi
-    at s: the one place its entries are assembled.
+                    tau: float, phi: float) -> tuple[float, complex, float, float]:
+    """(g_WW, g_Wz, g_zz, det) of the metric in the log chart (W = log w, z)
+    from the map's tau and phi at s: the one place its entries and their
+    determinant are assembled, as plain numbers, so that the Ricci stencil
+    reads det without building a form.
 
     There g_WW = phi, g_Wz = n phi z/(1+|z|^2) and g_zz as in the w chart;
-    they depend on w only through s, so neither |w| nor arg w enters.
-    PositivityError is raised once phi is below the normal double range
-    (sigma(q) subnormal or 0: at (n, beta1) = (1, 1.0) and z = 0, s below
-    about -709), where it would keep too few digits to be trusted, or where
-    the form is no longer positive in floating point.
+    they depend on w only through s, so neither |w| nor arg w enters.  det
+    is formed as HermitianForm2.det forms it.  PositivityError is raised
+    once phi is below the normal double range (sigma(q) subnormal or 0: at
+    (n, beta1) = (1, 1.0) and z = 0, s below about -709), where it would
+    keep too few digits to be trusted, or where the form is no longer
+    positive in floating point.
     """
     z2 = abs(z) * abs(z)    # a product overflows to inf where ** 2 would raise
     az = 1.0 + z2
-    form = HermitianForm2(g_ww=phi, g_wz=complex(p.n * phi * z / az),
-                          g_zz=(p.n * tau + p.n ** 2 * phi * z2) / (az * az))
-    if not (phi >= sys.float_info.min and form.det() > 0.0):
+    g_wz = complex(p.n * phi * z / az)
+    g_zz = (p.n * tau + p.n ** 2 * phi * z2) / (az * az)
+    det = phi * g_zz - abs(g_wz) * abs(g_wz)
+    if not (phi >= sys.float_info.min and det > 0.0):
         raise PositivityError(f"metric lost positivity at s={s}, z={z}: "
-                              f"phi={phi}, det={form.det()}")
-    return form
+                              f"phi={phi}, det={det}")
+    return phi, g_wz, g_zz, det
 
 
 def _centre(p: EinsteinProfile, m: TauSMap, pt: ChartPoint) -> tuple:
@@ -162,7 +168,7 @@ def _centre(p: EinsteinProfile, m: TauSMap, pt: ChartPoint) -> tuple:
     s = chart_s(p.n, pt)
     q = _q_of_s(m, s)
     tau, phi, dsdq, _ = _at_q(p, q)
-    return s, q, tau, phi, dsdq, _log_chart_form(p, s, pt.z, tau, phi)
+    return s, q, tau, phi, dsdq, HermitianForm2(*_log_chart_form(p, s, pt.z, tau, phi)[:3])
 
 
 def _w_chart_metric(form: HermitianForm2, pt: ChartPoint) -> HermitianForm2:
@@ -211,7 +217,9 @@ def ricci_fd(p: EinsteinProfile, m: TauSMap, pt: ChartPoint,
     entry that overflows but, unlike metric_at, tests no positivity: the
     Ricci form of a tampered profile need not be positive.  The ratio to
     the centre keeps each value near 0, where its rounding is about eps;
-    the constant it removes cancels in every difference.
+    the constant it removes cancels in every difference.  Each value reads
+    the kernel's determinant directly, so no form is built per stencil
+    value: a call builds three, the centre's and the Hessian in W and in w.
 
     The centre is solved once, cold.  Each of the 28 off-centre solves
     starts from the centre's tangent, q_c + (s - s_c)/(ds/dq)_c, which is
@@ -236,7 +244,7 @@ def _stencil(p: EinsteinProfile, m: TauSMap, pt: ChartPoint, step: float,
         z = complex(x0 + dx, y0 + dy)
         s = 2.0 * (u0 + du) + p.n * _log1p_abs2(z)
         tau, phi, _, _ = _at_q(p, _q_of_s(m, s, q_c + (s - s_c) / dsdq_c))
-        return math.log(_log_chart_form(p, s, z, tau, phi).det() / det_c)
+        return math.log(_log_chart_form(p, s, z, tau, phi)[3] / det_c)
 
     def hessian(h: float) -> tuple[float, complex, float]:
         # L is 0 at the centre, so a second difference is (L(+h) + L(-h))/h^2

@@ -113,14 +113,16 @@ def _at_q(p: EinsteinProfile, q: float) -> tuple[float, float, float, float]:
     """
     t = math.exp(-abs(q))
     big, small = 1.0 / (1.0 + t), t / (1.0 + t)     # sigma(|q|), sigma(-|q|)
-    sig, sig_neg = (big, small) if q >= 0.0 else (small, big)
+    # sigma(q), sigma(-q) and max(q, 0), the last without a builtin call
+    sig, sig_neg, q_pos = (big, small, q) if q >= 0.0 else (small, big, 0.0)
     span = p.span
     xi = span * sig
     d2 = (1.0 - p.alpha1) + xi          # tau - alpha1, no cancellation
     tau = 1.0 + xi
     cbar = -p.leading
     phi = cbar * xi * (span * sig_neg) * d2 / tau
-    return tau, phi, tau / (span * cbar * d2), math.log(d2) + max(q, 0.0) + math.log1p(t)
+    # softplus(q) = max(q, 0) + log1p(t)
+    return tau, phi, tau / (span * cbar * d2), math.log(d2) + q_pos + math.log1p(t)
 
 
 def build_map(p: EinsteinProfile) -> TauSMap:

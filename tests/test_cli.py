@@ -372,6 +372,24 @@ def test_run_verify_passes_at_n_8():
     assert status == 0 and rows[0]["status"] == "pass"
 
 
+@pytest.mark.parametrize("n, verdict", [(600, True), (650, False), (700, False)])
+def test_verify_at_large_n_ends_in_a_row_not_a_traceback(n, verdict, capsys):
+    # the grid's |w|^2 = e^s (1+|z|^2)^-n at |z| = 1.5, s = -2 is so small
+    # from about n = 606 on (at beta1 = 1e-3) that g_ww = phi/|w|^2 leaves
+    # the double range: no verdict, but a PositivityError row with exit 1
+    argv = ["verify", "--n", str(n), "--beta1", "0.001", "--grid", "2"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    [row] = parse_json(out.encode())["rows"]
+    assert err == ""
+    if verdict:
+        assert row["status"] == "fail" and "error" not in row
+    else:
+        assert list(row) == ["command", "error"]
+        assert row["error"].startswith("PositivityError: form leaves the double range")
+        assert "g_ww=inf" in row["error"]
+
+
 def test_run_verify_passes_at_n_8_with_a_wider_step():
     # a step of 1e-2 lifts the stencil's rounding floor, which the large
     # entries of g at n = 8 amplify: einstein_residual_max reads 1.1e-6
@@ -442,6 +460,26 @@ def test_rows_sorted_by_surface_then_angle():
     rows, _ = run(cfg)
     keys = [(r["n"], r["beta1"]) for r in rows]
     assert keys == sorted(keys)
+
+
+# run passes each runner's rows through as they come, so every runner must
+# emit them in (n, beta1) order itself: limit reverses its decreasing ladder,
+# and scan sorts a log grid whose range of a few ulp puts pow's interior
+# points on either side of its exact ends
+@pytest.mark.parametrize("argv", _EVERY_COMMAND + [
+    ["limit", "--n", "3", "--beta1-seq", "0.6,0.1,0.001,1e-9"],
+    ["scan", "--n", "1", "--beta1-min", "0.023299788910302544",
+     "--beta1-max", "0.023299788910302544", "--count", "26"],
+    ["scan", "--n", "1", "--beta1-min", "0.030011746787293077",
+     "--beta1-max", "0.03001174678729308", "--count", "50"],
+], ids=lambda argv: "-".join(argv[:1] + argv[2:3] + argv[4:5]))
+def test_each_runner_emits_rows_in_report_order(argv):
+    from hirzebruch_kee.cli import _RUNNERS
+    cfg = parse(argv)
+    rows = _RUNNERS[cfg.command](cfg)
+    keys = [(r["n"], r["beta1"]) for r in rows]
+    assert len(keys) > 0 and keys == sorted(keys)
+    assert run(cfg)[0] == rows
 
 
 def test_render_json_round_trip():
@@ -577,6 +615,9 @@ def test_thread_env_is_ignored(monkeypatch, capsys):
 # alpha2 = 1.618...: a DomainError row.  The limit golden pins the column
 # order of the limit rows; its numbers also read log, exp and atan, so a
 # libm that rounds those differently from glibc's may move their last digits.
+# The same holds for the verify golden, whose einstein_residual_max sits on
+# the stencil's rounding floor at beta1 = 1e-3: it moves with any last-bit
+# change to phi or to the kernel, which is what it is there to catch.
 _GOLDEN = json.loads((_DATA / "golden.json").read_text())
 
 

@@ -299,6 +299,30 @@ def test_ricci_fd_stencil_size(monkeypatch):
     assert len(calls) == 29
 
 
+def test_stencil_builds_no_form_per_stencil_value(monkeypatch):
+    # the kernel hands the stencil its det as a float, so a point costs a
+    # few forms (the centre's, the Hessian in W and in w, and for verify
+    # the w-chart metric and lam * g), not one for each of its 29 values
+    made = []
+
+    class Counted(geometry.HermitianForm2):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "HermitianForm2", Counted)
+    p = make_profile(2, 0.5)
+    m = build_map(p)
+    for run_point, most in ((lambda pt: ricci_fd(p, m, pt), 3),
+                            (lambda pt: geometry._grid_point(p, m, pt, 1e-3), 5)):
+        per_point = []
+        for pt in chart_grid(p, 2):
+            made.clear()
+            run_point(pt)
+            per_point.append(len(made))
+        assert len(set(per_point)) == 1 and 0 < per_point[0] <= most, per_point
+
+
 @pytest.mark.parametrize("step", [400.0, 800.0])
 def test_ricci_fd_large_steps_give_a_form_or_a_kee_error(step):
     # a step in u = log|w| moves s by 2 step, and at 800 exp(u) is past
